@@ -351,6 +351,31 @@ def _prepare_shard(
     )
 
 
+def _kill_pool(pool: multiprocessing.pool.Pool) -> None:
+    """Stop ``pool`` the way ``Pool.terminate()`` does, minus its lock wait.
+
+    ``terminate()`` first takes the task queue's read lock, which an idle
+    worker holds while it blocks for the next task.  A worker killed in
+    that state (a crash, the OOM killer) never releases it, and the wait
+    never ends.  Here the respawn loop is stopped, then every worker is
+    killed and reaped directly; the pool's task and result threads drain
+    on the sentinel the respawn loop leaves behind.  The attributes used
+    are CPython's ``multiprocessing.pool`` internals (3.8 and later).
+    """
+    from multiprocessing.pool import TERMINATE  # loaded with the pool
+
+    pool._state = TERMINATE
+    pool._terminate.cancel()  # the exit-time finalizer is terminate()
+    for thread in (pool._worker_handler, pool._task_handler, pool._result_handler):
+        thread._state = TERMINATE
+    pool._change_notifier.put(None)
+    pool._worker_handler.join()
+    for proc in pool._pool:
+        proc.kill()
+    for proc in pool._pool:
+        proc.join()
+
+
 class IngestEngine:
     """A sharded ``multiprocessing`` fan-out for the pure pipeline half.
 
@@ -538,11 +563,10 @@ class IngestEngine:
         is bound to the engine, never to the worker processes — they
         attach untracked and simply unmap on exit.
         """
+        pool, self._pool = self._pool, None
         try:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            if pool is not None:
+                _kill_pool(pool)
         finally:
             if self._store is not None:
                 self._store.unlink()

@@ -36,7 +36,10 @@ from repro.phone.trip_recorder import TripUpload
 from repro.store import NULL_STORE, NullStateStore, StateStore
 from repro.store.faults import fault_point
 from repro.util.units import ms_to_kmh
-from repro.wire import trip_from_dict, trip_to_dict
+
+# Module import, not ``from``: ``repro.wire`` imports ``repro.core``, so
+# this module may run while ``repro.wire`` is still half-initialised.
+import repro.wire as wire
 
 #: Plausibility band for a measured bus leg; outside it the reading is junk.
 _MIN_BUS_SPEED_KMH = 2.0
@@ -372,7 +375,7 @@ class BackendServer:
             self._journal({
                 "kind": "trip",
                 "now_s": now_s,
-                "trip": trip_to_dict(upload),
+                "trip": wire.trip_to_dict(upload),
             })
             fault_point("apply")
         return self._apply_prepared_inner(prepared, now_s=now_s)
@@ -682,7 +685,7 @@ class BackendServer:
         self._replaying = True
         try:
             if kind == "trip":
-                upload = trip_from_dict(record["trip"])
+                upload = wire.trip_from_dict(record["trip"])
                 if upload.trip_key in self._seen_trip_keys:
                     prepared = PreparedTrip.skipped(upload)
                 else:

@@ -67,6 +67,9 @@ class CellularScanner:
         self._positions = np.array(
             [(t.position.x, t.position.y) for t in self.towers]
         )
+        self._tower_ids = np.array([t.tower_id for t in self.towers])
+        self._tx_power = np.array([t.tx_power_dbm for t in self.towers], dtype=float)
+        self._columns = propagation.columns([t.tower_id for t in self.towers])
 
     def scan(self, where: Point, rng: SeedLike = None) -> Observation:
         """One scan at ``where`` with temporal noise."""
@@ -82,21 +85,25 @@ class CellularScanner:
     ) -> Observation:
         # Pre-filter by distance: beyond ~4 km a macro cell cannot clear the
         # sensitivity floor in this model, so skip the full RSS computation.
+        # The candidate count also fixes how much noise stream a scan uses.
         deltas = self._positions - np.array([where.x, where.y])
         distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        candidate_idx = np.nonzero(distances < 4000.0)[0]
-
-        pairs: List[Tuple[float, int]] = []
-        for idx in candidate_idx:
-            tower = self.towers[int(idx)]
-            if temporal:
-                rss = self.propagation.measure_rss_dbm(tower, where, rng)
-            else:
-                rss = self.propagation.mean_rss_dbm(tower, where)
-            if rss >= self.config.rx_sensitivity_dbm:
-                pairs.append((rss, tower.tower_id))
-        pairs.sort(key=lambda p: (-p[0], p[1]))
-        pairs = pairs[: self.config.max_visible]
+        candidates = np.nonzero(distances < 4000.0)[0]
+        args = (
+            self._columns[candidates],
+            deltas[candidates],
+            self._tx_power[candidates],
+            where,
+        )
+        if temporal:
+            rss = self.propagation.measure_rss_many(*args, rng)
+        else:
+            rss = self.propagation.mean_rss_many(*args)
+        visible = rss >= self.config.rx_sensitivity_dbm
+        pairs = sorted(
+            zip(rss[visible].tolist(), self._tower_ids[candidates[visible]].tolist()),
+            key=lambda p: (-p[0], p[1]),
+        )[: self.config.max_visible]
         return Observation(
             tower_ids=tuple(tid for _, tid in pairs),
             rss_dbm=tuple(rss for rss, _ in pairs),

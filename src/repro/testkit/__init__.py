@@ -5,10 +5,11 @@ route-constrained sequence mapping — are hot paths that keep being
 rewritten for speed.  This package is their standing referee:
 
 * :mod:`repro.testkit.oracles` — deliberately naive, spec-literal
-  implementations of the three estimators, used as differential-testing
-  references.  They trade every optimisation (inverted indexes,
-  vectorised DP, Viterbi decomposition, staleness pruning) for
-  line-by-line fidelity to §III-C of the paper.
+  implementations of the three estimators and of the cellular scan,
+  used as differential-testing references.  They trade every
+  optimisation (inverted indexes, vectorised DP, Viterbi decomposition,
+  staleness pruning, batched radio draws) for line-by-line fidelity to
+  §III of the paper.
 * :mod:`repro.testkit.scenarios` — randomized scenario generators for
   each estimator plus the fixed end-to-end *golden* scenario.
 * :mod:`repro.testkit.golden` — records a full end-to-end run (uploads,
@@ -37,6 +38,7 @@ from repro.testkit.golden import (
 )
 from repro.testkit.oracles import (
     OracleMatcher,
+    OracleScanner,
     oracle_cluster_trip_samples,
     oracle_enumerate_sequences,
     oracle_map_variants,
@@ -47,6 +49,7 @@ __all__ = [
     "ConformanceReport",
     "GOLDEN_TRACE_VERSION",
     "OracleMatcher",
+    "OracleScanner",
     "diff_traces",
     "load_trace",
     "oracle_cluster_trip_samples",

@@ -1,4 +1,4 @@
-"""Spec-literal reference oracles for the three §III-C estimators.
+"""Spec-literal reference oracles for the §III-C estimators and the radio scan.
 
 Every function here is *deliberately naive*: a full O(n·m) Python
 Smith-Waterman matrix instead of the vectorised rolling rows, a scan of
@@ -16,6 +16,11 @@ same deterministic choices the optimized paths make:
 * mapping — ties are resolved by reporting *every* optimal sequence;
   the optimized result must be one of them.
 
+The radio oracle is the per-tower scalar scan (§III-A): one
+``field_rng`` Generator per shadow-lattice corner, one scalar noise
+draw per candidate tower.  The core scanner must return the same
+observation and leave the phone's Generator in the same state.
+
 All arithmetic uses the same IEEE-754 double operations in the same
 association order as the optimized code, so comparisons are exact
 (``==``), never approximate.
@@ -24,15 +29,23 @@ association order as the optimized code, so comparisons are exact
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import ClusteringConfig, MatchingConfig
+import numpy as np
+
+from repro.city.geometry import Point
+from repro.config import ClusteringConfig, MatchingConfig, RadioConfig
 from repro.core.clustering import MatchedSample, SampleCluster
 from repro.core.matching import MatchResult
 from repro.core.trip_mapping import MappedStop, DROP_EPSILON
+from repro.radio.scanner import Observation
+from repro.radio.towers import CellTower
+from repro.util.rng import field_rng
 
 __all__ = [
     "OracleMatcher",
+    "OracleScanner",
     "oracle_cluster_trip_samples",
     "oracle_enumerate_sequences",
     "oracle_map_variants",
@@ -255,3 +268,83 @@ def oracle_map_variants(
             )
         variants.append(stops)
     return best_score, variants
+
+
+# -- cellular scan (§III-A) ---------------------------------------------------
+
+
+class OracleScanner:
+    """The visible-tower scan, one tower and one lattice corner at a time.
+
+    Same contract as :class:`repro.radio.CellularScanner` for a
+    :class:`repro.radio.PropagationModel` built from ``radio`` and
+    ``seed``: the 4 km candidate prefilter, mean RSS from log-distance
+    path loss minus bilinear shadowing, one ``rng.normal`` per candidate
+    in tower order, the sensitivity floor, ``(-rss, tower_id)`` order
+    and the neighbour-list cap.
+    """
+
+    def __init__(
+        self,
+        towers: Sequence[CellTower],
+        radio: Optional[RadioConfig] = None,
+        seed: int = 0,
+    ):
+        self.towers = list(towers)
+        self.config = radio or RadioConfig()
+        self._seed = int(seed)
+        self._positions = np.array(
+            [(t.position.x, t.position.y) for t in self.towers]
+        )
+
+    def mean_rss_dbm(self, tower: CellTower, where: Point) -> float:
+        distance = max(tower.position.distance_to(where), 1.0)
+        path_loss = (
+            self.config.path_loss_ref_db
+            + 10.0 * self.config.path_loss_exponent * math.log10(distance)
+        )
+        return tower.tx_power_dbm - path_loss - self._shadow_db(tower.tower_id, where)
+
+    def _shadow_db(self, tower_id: int, where: Point) -> float:
+        grid = self.config.shadow_grid_m
+        gx = where.x / grid
+        gy = where.y / grid
+        x0, y0 = math.floor(gx), math.floor(gy)
+        fx, fy = gx - x0, gy - y0
+        v00 = self._corner(tower_id, x0, y0)
+        v10 = self._corner(tower_id, x0 + 1, y0)
+        v01 = self._corner(tower_id, x0, y0 + 1)
+        v11 = self._corner(tower_id, x0 + 1, y0 + 1)
+        value = (
+            v00 * (1 - fx) * (1 - fy)
+            + v10 * fx * (1 - fy)
+            + v01 * (1 - fx) * fy
+            + v11 * fx * fy
+        )
+        return value * self.config.shadowing_sigma_db
+
+    def _corner(self, tower_id: int, ix: int, iy: int) -> float:
+        return float(
+            field_rng(self._seed, "shadow", tower_id, ix, iy).standard_normal()
+        )
+
+    def scan(
+        self, where: Point, rng: Optional[np.random.Generator], temporal: bool = True
+    ) -> Observation:
+        """One scan at ``where``; ``temporal=False`` is the mean field."""
+        deltas = self._positions - np.array([where.x, where.y])
+        distances = np.hypot(deltas[:, 0], deltas[:, 1])
+        pairs: List[Tuple[float, int]] = []
+        for idx in np.nonzero(distances < 4000.0)[0]:
+            tower = self.towers[int(idx)]
+            rss = self.mean_rss_dbm(tower, where)
+            if temporal:
+                rss = rss + rng.normal(0.0, self.config.temporal_sigma_db)
+            if rss >= self.config.rx_sensitivity_dbm:
+                pairs.append((rss, tower.tower_id))
+        pairs.sort(key=lambda p: (-p[0], p[1]))
+        pairs = pairs[: self.config.max_visible]
+        return Observation(
+            tower_ids=tuple(tid for _, tid in pairs),
+            rss_dbm=tuple(rss for rss, _ in pairs),
+        )

@@ -12,6 +12,7 @@ Formats are versioned with a ``"v"`` field so they can evolve.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, IO, List, Optional, Union
 
 from repro.city.gtfs import planar_to_wgs84
@@ -57,11 +58,20 @@ def trip_from_dict(payload: Dict[str, Any]) -> TripUpload:
     for entry in payload["samples"]:
         try:
             time_s = float(entry["t"])
-            cells = tuple(int(c) for c in entry["cells"])
+            cells = tuple(_cell_id(c) for c in entry["cells"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed sample entry {entry!r}") from exc
+        if not math.isfinite(time_s):
+            raise ValueError(f"non-finite sample time in {entry!r}")
         samples.append(CellularSample(time_s=time_s, tower_ids=cells))
     return TripUpload(trip_key=str(payload["trip"]), samples=tuple(samples))
+
+
+def _cell_id(value: Any) -> int:
+    # JSON ``true`` decodes to a bool, which ``int()`` would take as 1.
+    if isinstance(value, bool):
+        raise ValueError(f"cell id must be an integer, not {value!r}")
+    return int(value)
 
 
 def dump_trips(uploads: List[TripUpload], stream: IO[str]) -> None:

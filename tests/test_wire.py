@@ -64,6 +64,28 @@ class TestTripCodec:
         with pytest.raises(ValueError):
             trip_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_time(self, time_s):
+        payload = trip_to_dict(make_upload())
+        payload["samples"][1]["t"] = time_s
+        with pytest.raises(ValueError, match="non-finite"):
+            trip_from_dict(payload)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_time_from_json(self, text):
+        line = json.dumps(trip_to_dict(make_upload())).replace("130.0", text)
+        with pytest.raises(ValueError):
+            load_trips(io.StringIO(line))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_cell_id(self, flag):
+        payload = json.loads(json.dumps(trip_to_dict(make_upload())).replace(
+            "[5, 9]", f"[5, {json.dumps(flag)}]"
+        ))
+        assert payload["samples"][1]["cells"] == [5, flag]
+        with pytest.raises(ValueError):
+            trip_from_dict(payload)
+
     def test_jsonl_round_trip(self):
         uploads = [make_upload("a"), make_upload("b")]
         buffer = io.StringIO()
