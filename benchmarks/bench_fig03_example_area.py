@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from conftest import report
-from repro.core.matching import smith_waterman
+from repro.core.matching import batch_smith_waterman
 from repro.eval.reporting import render_table
 
 N_STOPS = 15
@@ -32,10 +32,12 @@ def test_fig03_example_area(benchmark, paper_world):
         for station_id, towers in fingerprints.items()
     ]
     ids = list(fingerprints)
-    pair_scores = [
-        smith_waterman(fingerprints[a], fingerprints[b], paper_world.config.matching)
-        for a, b in itertools.combinations(ids, 2)
-    ]
+    pairs = list(itertools.combinations(ids, 2))
+    pair_scores = batch_smith_waterman(
+        [fingerprints[a] for a, _ in pairs],
+        [fingerprints[b] for _, b in pairs],
+        paper_world.config.matching,
+    ).tolist()
     summary = (
         f"\npairwise similarity over the corridor: "
         f"mean={np.mean(pair_scores):.2f}, max={np.max(pair_scores):.2f}, "

@@ -1,26 +1,24 @@
-"""Ingest-path matching throughput: full scan vs pruned vs pruned+cached.
+"""Ingest-path matching throughput, diffed against the oracle.
 
 One campaign's uploads are generated once, then their cellular samples
-are re-matched under three matcher configurations:
+are re-matched upload by upload (``match_many``, exactly as ingest
+calls it) under two configurations of the one production matcher:
 
-* ``full``          — whole-database Smith-Waterman scan (the reference
-                      path, ``MatchingConfig(indexed=False, cache_size=0)``);
-* ``pruned``        — inverted cell-id candidate index, no memo;
-* ``pruned+cached`` — candidate index plus the LRU verdict memo.
+* ``plan``       — incidence plan + pruned kernel, memo off
+                   (``cache_size=0``);
+* ``plan+memo``  — the same plus the LRU verdict memo (the default).
 
-Each configuration runs ``PASSES`` passes over the same upload stream
-with a *warm* matcher, modelling steady-state ingest where re-delivered
-batches and repeat scans recur; the first pass is the cold-cache cost,
-the best pass the warm one.  Verdicts from the pruned and cached paths
-are compared ``==``-exactly against the full scan on every pass — the
-bench refuses to publish a number bought with a wrong verdict — and the
-same matrix is repeated through the parallel :class:`IngestEngine` at
-2 and 4 workers (per-worker index + memo, exactly the production
-wiring).
+Each configuration runs ``PASSES`` passes with a *fresh* matcher, so
+every pass pays the cold-memo cost a new server pays; the report keeps
+the first and the best pass.  Before any number is published, every
+verdict (station, score bits, common ids) and the logical candidate-pool
+accounting (``matcher_pairs_scored``) are compared exactly against
+:class:`repro.testkit.OracleMatcher`'s whole-database scan — the bench
+exits nonzero rather than report a speed bought with a wrong verdict.
 
 Results land in ``benchmarks/reports/BENCH_matching.json`` (plus a
 human-readable table in ``BENCH_matching.txt``).  ``--quick`` shrinks
-the campaign and the worker matrix for the CI smoke job.
+the campaign for the CI smoke step.
 
 Run from the repo root::
 
@@ -35,91 +33,74 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.config import SystemConfig                     # noqa: E402
-from repro.core.ingest import IngestEngine                # noqa: E402
 from repro.core.match_index import canonical_key          # noqa: E402
 from repro.core.matching import SampleMatcher             # noqa: E402
+from repro.obs.metrics import MetricsRegistry             # noqa: E402
 from repro.sim.world import World                         # noqa: E402
+from repro.testkit import OracleMatcher                   # noqa: E402
 from repro.util.units import parse_hhmm                   # noqa: E402
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
 #: Matcher configurations under test, in reporting order.
 MODES: Tuple[Tuple[str, Dict], ...] = (
-    ("full", {"indexed": False, "cache_size": 0}),
-    ("pruned", {"indexed": True, "cache_size": 0}),
-    ("pruned+cached", {"indexed": True, "cache_size": 4096}),
+    ("plan", {"cache_size": 0}),
+    ("plan+memo", {}),
 )
 
 PASSES = 3
 
 
-def _mode_config(base: SystemConfig, overrides: Dict) -> SystemConfig:
-    return replace(base, matching=replace(base.matching, **overrides))
+def _oracle(world: World, batches) -> Tuple[Dict, float]:
+    """Oracle (verdict, pool) per unique sequence, and its seconds."""
+    oracle = OracleMatcher(world.database.as_dict(), world.config.matching)
+    start = time.perf_counter()
+    expected = {}
+    for batch in batches:
+        for sample in batch:
+            key = canonical_key(sample)
+            if key not in expected:
+                expected[key] = oracle.match_with_pool(key)
+    return expected, time.perf_counter() - start
 
 
-def _verdicts(prepared) -> List[Tuple]:
-    """The flat per-sample verdict stream of a prepared-trip list."""
-    return [
-        (result.station_id, result.score, result.common_ids)
-        for trip in prepared
-        for result in (trip.matches or ())
-    ]
+def _check(mode: str, batches, results, registry, expected) -> None:
+    """Exact verdicts and pool accounting, or an AssertionError."""
+    wrong = 0
+    pairs = 0
+    for batch, got in zip(batches, results):
+        for sample, result in zip(batch, got):
+            want, pool = expected[canonical_key(sample)]
+            pairs += pool
+            if (result.station_id, result.score.hex(), result.common_ids) != (
+                want.station_id, want.score.hex(), want.common_ids
+            ):
+                wrong += 1
+    counted = registry.counter("matcher_pairs_scored").value
+    if wrong or counted != pairs:
+        raise AssertionError(
+            f"{mode} diverged from the oracle: {wrong} verdicts differ, "
+            f"matcher_pairs_scored {counted} != oracle pools {pairs}"
+        )
 
 
-def _assert_parity(mode: str, workers: int, got: List[Tuple],
-                   expected: List[Tuple]) -> None:
-    if got == expected:
-        return
-    diverged = sum(1 for a, b in zip(got, expected) if a != b)
-    raise AssertionError(
-        f"{mode} @ {workers} worker(s) diverged from the full scan: "
-        f"{diverged} of {len(expected)} verdicts differ "
-        f"(plus {abs(len(got) - len(expected))} count drift)"
-    )
-
-
-def _bench_serial(world: World, uploads, overrides: Dict):
-    """PASSES timed match_many sweeps with one warm matcher; verdicts back."""
-    matcher = SampleMatcher(
-        world.database.as_dict(),
-        _mode_config(world.config, overrides).matching,
-    )
-    batches = [[s.tower_ids for s in upload.samples] for upload in uploads]
+def _bench(world: World, batches, overrides: Dict, mode: str, expected):
+    """PASSES cold sweeps, each with a fresh matcher, checked each time."""
+    config = replace(world.config.matching, **overrides)
     pass_seconds: List[float] = []
-    verdicts: List[Tuple] = []
     for _ in range(PASSES):
+        registry = MetricsRegistry()
+        matcher = SampleMatcher(world.database.as_dict(), config,
+                                registry=registry)
         start = time.perf_counter()
         results = [matcher.match_many(batch) for batch in batches]
         pass_seconds.append(time.perf_counter() - start)
-        verdicts = [
-            (r.station_id, r.score, r.common_ids)
-            for batch in results for r in batch
-        ]
-    return pass_seconds, verdicts
-
-
-def _bench_workers(world: World, uploads, overrides: Dict, workers: int):
-    """PASSES timed engine.prepare fan-outs (match+cluster+map); verdicts."""
-    config = _mode_config(world.config, overrides)
-    engine = IngestEngine(
-        world.database.as_dict(), world.city.route_network, config,
-        workers=workers,
-    )
-    pass_seconds: List[float] = []
-    verdicts: List[Tuple] = []
-    with engine:
-        engine.start()                   # pool spin-up outside the clock
-        for _ in range(PASSES):
-            start = time.perf_counter()
-            prepared = engine.prepare(uploads, keep_matches=True)
-            pass_seconds.append(time.perf_counter() - start)
-            verdicts = _verdicts(prepared)
-    return pass_seconds, verdicts
+        _check(mode, batches, results, registry, expected)
+    return pass_seconds
 
 
 def run(quick: bool = False, out: Optional[str] = None) -> Dict:
@@ -127,48 +108,22 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
     start, end = ("07:30", "08:15") if quick else ("07:00", "10:00")
     result = world.run(parse_hhmm(start), parse_hhmm(end),
                        with_official_feed=False)
-    uploads = result.uploads
-    samples = sum(len(u.samples) for u in uploads)
-    unique = len({
-        canonical_key(s.tower_ids) for u in uploads for s in u.samples
-    })
-    worker_counts: Sequence[int] = (1, 2) if quick else (1, 2, 4, 8)
-    cores = os.cpu_count() or 1
+    batches = [[s.tower_ids for s in u.samples] for u in result.uploads]
+    samples = sum(len(b) for b in batches)
+    expected, oracle_s = _oracle(world, batches)
 
     rows: List[Dict] = []
-    speedups: Dict[str, Dict[str, float]] = {}
-    for workers in worker_counts:
-        reference: Optional[List[Tuple]] = None
-        per_mode: Dict[str, float] = {}
-        for mode, overrides in MODES:
-            if workers == 1:
-                pass_seconds, verdicts = _bench_serial(world, uploads, overrides)
-            else:
-                pass_seconds, verdicts = _bench_workers(
-                    world, uploads, overrides, workers
-                )
-            if mode == "full":
-                reference = verdicts
-            else:
-                _assert_parity(mode, workers, verdicts, reference)
-            best = min(pass_seconds)
-            per_mode[mode] = best
-            rows.append({
-                "workers": workers,
-                "mode": mode,
-                "host_cores": cores,
-                "oversubscribed": workers > cores,
-                "pass_seconds": [round(s, 6) for s in pass_seconds],
-                "cold_s": round(pass_seconds[0], 6),
-                "best_s": round(best, 6),
-                "samples_per_s": round(samples / best, 1),
-            })
-        speedups[str(workers)] = {
-            "pruned_vs_full": round(per_mode["full"] / per_mode["pruned"], 2),
-            "cached_vs_full": round(
-                per_mode["full"] / per_mode["pruned+cached"], 2
-            ),
-        }
+    for mode, overrides in MODES:
+        pass_seconds = _bench(world, batches, overrides, mode, expected)
+        best = min(pass_seconds)
+        rows.append({
+            "mode": mode,
+            "pass_seconds": [round(s, 6) for s in pass_seconds],
+            "cold_s": round(pass_seconds[0], 6),
+            "best_s": round(best, 6),
+            "samples_per_s": round(samples / best, 1),
+            "us_per_sample": round(1e6 * best / samples, 2),
+        })
 
     document = {
         "bench": "matching",
@@ -176,16 +131,17 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         "campaign": {
             "seed": 7,
             "window": f"{start}-{end}",
-            "uploads": len(uploads),
+            "uploads": len(batches),
             "samples": samples,
-            "unique_sequences": unique,
+            "unique_sequences": len(expected),
             "stops": len(world.database),
         },
         "passes": PASSES,
-        "parity": "pruned and pruned+cached verdicts == full scan, exact",
-        "host_cpu_cores": cores,
+        "parity": "verdicts (score bits) and matcher_pairs_scored == "
+                  "OracleMatcher full scan, exact, on every pass",
+        "oracle_s": round(oracle_s, 3),
+        "host_cpu_cores": os.cpu_count() or 1,
         "results": rows,
-        "speedup_vs_full": speedups,
     }
 
     os.makedirs(REPORT_DIR, exist_ok=True)
@@ -195,30 +151,20 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         handle.write("\n")
 
     lines = [
-        f"uploads {len(uploads)}  samples {samples}  "
-        f"unique sequences {unique}  stops {len(world.database)}  "
-        f"host cores {cores}",
-        f"{'workers':>8} {'mode':<14} {'cold (ms)':>10} {'best (ms)':>10} "
-        f"{'samples/s':>10} {'vs full':>8}",
+        f"uploads {len(batches)}  samples {samples}  "
+        f"unique sequences {len(expected)}  stops {len(world.database)}  "
+        f"host cores {document['host_cpu_cores']}",
+        f"{'mode':<10} {'cold (ms)':>10} {'best (ms)':>10} "
+        f"{'samples/s':>10} {'us/sample':>10}",
     ]
-    flagged = False
     for row in rows:
-        ratio = speedups[str(row["workers"])].get(
-            "pruned_vs_full" if row["mode"] == "pruned" else "cached_vs_full"
-        ) if row["mode"] != "full" else 1.0
-        mark = "*" if row["oversubscribed"] else " "
-        flagged = flagged or row["oversubscribed"]
         lines.append(
-            f"{row['workers']:>7}{mark} {row['mode']:<14} "
-            f"{1e3 * row['cold_s']:>10.1f} {1e3 * row['best_s']:>10.1f} "
-            f"{row['samples_per_s']:>10.0f} {ratio:>7.2f}x"
+            f"{row['mode']:<10} {1e3 * row['cold_s']:>10.1f} "
+            f"{1e3 * row['best_s']:>10.1f} {row['samples_per_s']:>10.0f} "
+            f"{row['us_per_sample']:>10.1f}"
         )
-    if flagged:
-        lines.append(
-            f"* workers exceed the {cores} host core(s); rows measure "
-            "oversubscription overhead, not scaling"
-        )
-    lines.append("parity  pruned == pruned+cached == full (exact verdicts)")
+    lines.append(f"parity  every pass == oracle full scan "
+                 f"({oracle_s:.1f} s for the unique sequences)")
     table = "\n".join(lines)
     print(f"===== matching ({'quick' if quick else 'default'} campaign) =====")
     print(table)
@@ -232,7 +178,7 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small campaign + fewer workers (CI smoke)")
+                        help="small campaign (CI smoke)")
     parser.add_argument("--out", default=None,
                         help="JSON output path (default: "
                              "benchmarks/reports/BENCH_matching.json)")

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import report
 from repro.config import MatchingConfig
-from repro.core.matching import smith_waterman
+from repro.core.matching import batch_smith_waterman
+from repro.testkit import oracle_smith_waterman
 from repro.eval.reporting import render_table
 
 C_UPLOAD = (1, 2, 3, 4, 5)
@@ -17,8 +18,13 @@ C_DATABASE = (1, 7, 3, 5)
 PAPER_SCORE = 2.4
 
 
+def _score(upload, database, config):
+    return float(batch_smith_waterman([upload], [database], config)[0])
+
+
 def test_table1_matching_instance(benchmark):
-    score = benchmark(smith_waterman, C_UPLOAD, C_DATABASE, MatchingConfig())
+    score = benchmark(_score, C_UPLOAD, C_DATABASE, MatchingConfig())
+    assert score == oracle_smith_waterman(C_UPLOAD, C_DATABASE)
 
     report(
         "table1_matching",

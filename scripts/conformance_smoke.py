@@ -3,14 +3,14 @@
 
 Runs the full conformance suite in-process — ``--scenarios`` randomized
 differential scenarios per estimator against the spec-literal oracles,
-then the golden end-to-end campaign replayed at workers 1/2/4 and
-byte-compared to the committed ``tests/golden/campaign_small.json``.
+then the golden end-to-end campaign, byte-compared to the committed
+``tests/golden/campaign_small.json``.
 
 Always writes two artifacts to ``benchmarks/reports/`` for CI upload:
 
 * ``conformance_report.json`` — the machine-readable verdict.
 * ``golden_diff.txt`` — structural diff lines on golden mismatch
-  (empty when every worker count is byte-identical).
+  (empty when the run is byte-identical).
 
 Run from the repo root::
 
@@ -36,14 +36,12 @@ def main() -> int:
     parser.add_argument("--scenarios", type=int, default=25,
                         help="randomized scenarios per estimator")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, nargs="*", default=(1, 2, 4))
     args = parser.parse_args()
 
     os.makedirs(REPORT_DIR, exist_ok=True)
     report = run_conformance(
         scenarios=args.scenarios,
         seed=args.seed,
-        worker_counts=tuple(args.workers),
     )
     print(report.summary())
 
@@ -53,11 +51,7 @@ def main() -> int:
     ) as out:
         json.dump(report.as_dict(), out, indent=2)
 
-    diff_lines = [
-        f"workers={workers}: {line}"
-        for workers, lines in sorted(report.golden_results.items())
-        for line in lines
-    ]
+    diff_lines = report.golden_diff
     with open(
         os.path.join(REPORT_DIR, "golden_diff.txt"), "w", encoding="utf-8"
     ) as out:

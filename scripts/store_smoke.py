@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI durability smoke: SIGKILL a stored campaign, resume it, diff.
 
-For each worker count (1 and 2) this driver:
+This script:
 
 1. runs the reference campaign straight through (no store) and keeps
    its golden trace;
@@ -54,29 +54,27 @@ def run_campaign(args, fault=None):
     )
 
 
-def check_workers(workers, tmp):
-    tag = f"workers{workers}"
-    base_path = os.path.join(tmp, f"base-{tag}.json")
-    resumed_path = os.path.join(tmp, f"resumed-{tag}.json")
-    store = os.path.join(tmp, f"store-{tag}")
-    flags = ["--workers", str(workers)]
+def check_resume(tmp):
+    base_path = os.path.join(tmp, "base.json")
+    resumed_path = os.path.join(tmp, "resumed.json")
+    store = os.path.join(tmp, "store")
 
-    proc = run_campaign([*flags, "--golden-out", base_path])
+    proc = run_campaign(["--golden-out", base_path])
     if proc.returncode != 0:
-        raise SystemExit(f"baseline {tag} failed:\n{proc.stderr}")
+        raise SystemExit(f"baseline failed:\n{proc.stderr}")
 
-    killed = run_campaign([*flags, "--store", store], fault=FAULT)
+    killed = run_campaign(["--store", store], fault=FAULT)
     if killed.returncode != -9:
         raise SystemExit(
-            f"{tag}: fault {FAULT} did not SIGKILL the campaign "
+            f"fault {FAULT} did not SIGKILL the campaign "
             f"(rc={killed.returncode})\n{killed.stderr}"
         )
 
     proc = run_campaign(
-        [*flags, "--store", store, "--resume", "--golden-out", resumed_path]
+        ["--store", store, "--resume", "--golden-out", resumed_path]
     )
     if proc.returncode != 0:
-        raise SystemExit(f"resume {tag} failed:\n{proc.stderr}")
+        raise SystemExit(f"resume failed:\n{proc.stderr}")
 
     with open(base_path, "rb") as f:
         base = f.read()
@@ -84,15 +82,14 @@ def check_workers(workers, tmp):
         resumed = f.read()
     identical = base == resumed
     if not identical:
-        with open(DIFF_PATH, "a", encoding="utf-8") as f:
-            f.write(f"=== {tag}: resumed vs straight-through ===\n")
+        with open(DIFF_PATH, "w", encoding="utf-8") as f:
+            f.write("=== resumed vs straight-through ===\n")
             f.writelines(difflib.unified_diff(
                 base.decode("utf-8").splitlines(keepends=True),
                 resumed.decode("utf-8").splitlines(keepends=True),
-                fromfile=f"straight-{tag}", tofile=f"resumed-{tag}",
+                fromfile="straight", tofile="resumed",
             ))
     return {
-        "workers": workers,
         "fault": FAULT,
         "killed_returncode": killed.returncode,
         "golden_bytes": len(base),
@@ -104,23 +101,19 @@ def main():
     os.makedirs(REPORT_DIR, exist_ok=True)
     if os.path.exists(DIFF_PATH):
         os.remove(DIFF_PATH)
-    rows = []
     with tempfile.TemporaryDirectory(prefix="store-smoke-") as tmp:
-        for workers in (1, 2):
-            row = check_workers(workers, tmp)
-            rows.append(row)
-            verdict = "ok" if row["byte_identical"] else "DIVERGED"
-            print(f"workers={workers}: killed at {FAULT}, resumed, "
-                  f"golden {row['golden_bytes']} bytes — {verdict}")
-    report = {"fault": FAULT, "runs": rows,
-              "ok": all(r["byte_identical"] for r in rows)}
+        row = check_resume(tmp)
+    verdict = "ok" if row["byte_identical"] else "DIVERGED"
+    print(f"killed at {FAULT}, resumed, golden {row['golden_bytes']} "
+          f"bytes — {verdict}")
+    report = {"fault": FAULT, "runs": [row], "ok": row["byte_identical"]}
     with open(REPORT_PATH, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
     if not report["ok"]:
         print(f"resumed trace diverged; diff at {DIFF_PATH}",
               file=sys.stderr)
         return 1
-    print("store smoke: resume is byte-identical at workers 1 and 2")
+    print("store smoke: resume is byte-identical")
     return 0
 
 

@@ -78,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dispatch headway in seconds")
     simulate.add_argument("--routes", nargs="*", default=None,
                           help="route ids (default: all)")
-    simulate.add_argument("--workers", type=int, default=1,
-                          help="worker processes for the match/cluster/map "
-                               "stages (default: 1 = serial; results are "
-                               "identical at any count)")
     simulate.add_argument("--out", default=None,
                           help="write the final map snapshot as GeoJSON")
     simulate.add_argument("--trips-out", default=None,
@@ -101,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--alert-rules", default=None, metavar="FILE",
                           help="evaluate this JSON SLO rule file on every "
                                "publish tick")
-    _add_ingest_flags(simulate)
     _add_trace_flags(simulate)
 
     process = sub.add_parser("process", help="re-run the backend on stored trips")
@@ -123,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--start", default="07:30")
     campaign.add_argument("--end", default="09:30")
     campaign.add_argument("--seed", type=int, default=7)
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="worker processes for the match/cluster/map "
-                               "stages (default: 1 = serial; results are "
-                               "identical at any count)")
     campaign.add_argument("--metrics-out", default=None,
                           help="dump pipeline metrics + per-stage timings "
                                "(JSON, or Prometheus text for *.prom)")
@@ -164,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--alert-rules", default=None, metavar="FILE",
                           help="evaluate this JSON SLO rule file on every "
                                "publish tick")
-    _add_ingest_flags(campaign)
     _add_trace_flags(campaign)
 
     sub.add_parser("power", help="print the Table III power model")
@@ -224,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dispatch headway in seconds")
     analytics.add_argument("--routes", nargs="*", default=None,
                            help="route ids (default: all)")
-    analytics.add_argument("--workers", type=int, default=1,
-                           help="worker processes for the match/cluster/map "
-                                "stages")
     analytics.add_argument("--top-flows", type=int, default=10,
                            help="O-D pairs shown in the flow table "
                                 "(default: 10)")
@@ -244,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     conformance.add_argument("--seed", type=int, default=0,
                              help="base seed for scenario generation")
     conformance.add_argument("--record", action="store_true",
-                             help="re-record the golden fixture (after "
-                                  "verifying worker-invariance) instead of "
+                             help="re-record the golden fixture instead of "
                                   "checking against it")
     conformance.add_argument("--check", action="store_true",
                              help="check the golden trace (the default; "
@@ -253,16 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     conformance.add_argument("--no-golden", action="store_true",
                              help="differential scenarios only, skip the "
                                   "golden end-to-end runs")
-    conformance.add_argument("--matcher", choices=["indexed", "full"],
-                             default="indexed",
-                             help="matching path to test differentially: "
-                                  "candidate-pruned + memoized (indexed, "
-                                  "the production default) or the "
-                                  "whole-database scan (full); both must "
-                                  "emit identical reports")
-    conformance.add_argument("--workers", type=int, nargs="*", default=None,
-                             help="worker counts the golden campaign is "
-                                  "replayed at (default: 1 2 4)")
     conformance.add_argument("--fixture", default=None,
                              help="golden trace path (default: the committed "
                                   "tests/golden/campaign_small.json)")
@@ -274,32 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_ingest_flags(command: argparse.ArgumentParser) -> None:
-    """Parallel-ingest IPC flags shared by ``simulate`` and ``campaign``."""
-    command.add_argument("--legacy-ipc", action="store_true",
-                         help="broadcast worker state as per-worker pickles "
-                              "and ship shards as raw pickle instead of the "
-                              "zero-copy shared-memory store + columnar "
-                              "codec (the A/B baseline; results are "
-                              "identical either way)")
-    command.add_argument("--memo-warm", type=int, default=None, metavar="N",
-                         help="pre-warm each ingest worker's verdict memo "
-                              "with the coordinator's N hottest entries "
-                              "(default: config; 0 disables)")
-
-
 def _ingest_config(args: argparse.Namespace):
-    """A SystemConfig honouring the parallel-ingest IPC flags."""
+    """A SystemConfig honouring the durable-store flags."""
     from dataclasses import replace
 
     from repro.config import SystemConfig
 
     config = SystemConfig()
     ingest = config.ingest
-    if getattr(args, "legacy_ipc", False):
-        ingest = replace(ingest, shared_store=False)
-    if getattr(args, "memo_warm", None) is not None:
-        ingest = replace(ingest, memo_warm=args.memo_warm)
     if getattr(args, "snapshot_every", None) is not None:
         ingest = replace(ingest, store_snapshot_every=args.snapshot_every)
     if getattr(args, "fsync", None) is not None:
@@ -525,7 +483,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             route_ids=args.routes,
             headway_s=args.headway,
             with_official_feed=False,
-            workers=args.workers,
         )
         stats = world.server.stats
         snapshot = server.traffic_map.published_snapshot(parse_hhmm(args.end))
@@ -744,9 +701,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     stages = document.get("stages", {})
     if stages:
-        # Wall seconds under the tracer's top-level spans; absorbed
-        # worker stages ran concurrently, so their shares can sum past
-        # 100% — that's parallelism, not an accounting error.
+        # Wall seconds under the tracer's top-level spans; nested stages
+        # are counted inside their parents too, so shares can sum past
+        # 100%.
         wall_s = document.get("wall_s", 0.0)
         rows = []
         for name, timing in sorted(
@@ -885,7 +842,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                   registry=registry, tracer=tracer, store=store)
     engine = _alert_engine_for(args.alert_rules, registry, world.server)
     campaign = Campaign(world, start=args.start, end=args.end,
-                        headway_s=args.headway, workers=args.workers)
+                        headway_s=args.headway)
     phases = []
     if args.sparse_days > 0:
         phases.append(
@@ -1144,7 +1101,6 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
             route_ids=args.routes,
             headway_s=args.headway,
             with_official_feed=False,
-            workers=args.workers,
         )
         report = world.server.analytics.report(end_s, top_k=args.top_flows)
         source = (f"campaign {args.start}-{args.end} seed={args.seed} "
@@ -1159,20 +1115,14 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.testkit.conformance import (
-        DEFAULT_WORKER_COUNTS,
-        run_conformance,
-    )
+    from repro.testkit.conformance import run_conformance
 
-    worker_counts = tuple(args.workers) if args.workers else DEFAULT_WORKER_COUNTS
     report = run_conformance(
         scenarios=args.scenarios,
         seed=args.seed,
         record=args.record,
         check=not args.no_golden,
         fixture=args.fixture,
-        worker_counts=worker_counts,
-        matcher=args.matcher,
     )
     print(report.summary())
     if args.report_out:
@@ -1180,11 +1130,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             json.dump(report.as_dict(), out, indent=2)
         print(f"wrote conformance report -> {args.report_out}")
     if args.diff_out:
-        diff_lines = [
-            f"workers={workers}: {line}"
-            for workers, lines in sorted(report.golden_results.items())
-            for line in lines
-        ]
+        diff_lines = report.golden_diff
         with open(args.diff_out, "w", encoding="utf-8") as out:
             out.write("\n".join(diff_lines) + ("\n" if diff_lines else ""))
         if diff_lines:

@@ -49,11 +49,13 @@ class MatchingConfig:
     mismatch_penalty: float = 0.3       # swept 0.1..0.9; 0.3 best
     gap_penalty: float = 0.3
     accept_threshold: float = 2.0       # γ = 2 (from Fig. 2(b) measurement)
-    indexed: bool = True                # prune candidates via the inverted
-                                        # cell-id index (exact; False scans
-                                        # the whole DB — the reference path)
-    cache_size: int = 4096              # LRU memo entries for repeat
-                                        # sequences (0 disables the memo)
+    #: LRU memo entries for repeat sequences (0 disables the memo).
+    #: Sized from the reuse distances of the benchmark stream
+    #: (``benchmarks/bench_memo_reuse.py``): the longest is ~10.4k
+    #: sequences, so 16384 entries reach the one-pass hit ceiling
+    #: (29.8 % of samples; 4096 entries hit 23.8 %) for ~2 MB more heap.
+    #: The memo saves ~6 % of matching time there.
+    cache_size: int = 16384
 
 
 @dataclass(frozen=True)
@@ -221,23 +223,8 @@ class AnalyticsConfig:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Parallel ingest IPC strategy (worker pools, §III-C at scale).
+    """Durable ingest: how the server journals and snapshots its state."""
 
-    These knobs govern only *how* shards and shared state cross the
-    process boundary — never what any estimator computes.  Both modes
-    are bit-identical to serial ingest; ``shared_store=False`` keeps the
-    pickled-broadcast path alive as the A/B baseline the IPC benchmarks
-    compare against.
-    """
-
-    #: Broadcast the fingerprint DB + inverted index + route network as
-    #: one read-only shared-memory segment (zero-copy attach per worker)
-    #: and ship shards through the columnar codec, instead of pickling
-    #: everything per worker / per shard.
-    shared_store: bool = True
-    #: Hottest verdict-memo entries shipped to each worker at pool init
-    #: so its cache starts warm (0 disables pre-warming).
-    memo_warm: int = 512
     #: Durable-store snapshot cadence: WAL records between automatic
     #: snapshots at quiescent points (0 disables automatic snapshots;
     #: recovery then replays the whole WAL).  Ignored without a store.

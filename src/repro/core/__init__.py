@@ -1,98 +1,70 @@
-"""The paper's contribution: the backend traffic-monitoring pipeline."""
+"""The paper's contribution: the backend traffic-monitoring pipeline.
 
-from repro.core.clustering import (
-    CandidateStop,
-    MatchedSample,
-    SampleCluster,
-    cluster_trip_samples,
-    link_affinity,
-)
-from repro.core.arrival import (
-    ArrivalPrediction,
-    ArrivalPredictor,
-    expected_dwell_s,
-    infer_route,
-)
-from repro.core.bootstrap import BootstrapStats, DatabaseBootstrapper
-from repro.core.fingerprint import FingerprintDatabase, StoredFingerprint
-from repro.core.fusion import BayesianSpeedFuser, FusedSpeed
-from repro.core.ingest import IngestEngine, PreparedTrip, prepare_trip
-from repro.core.match_index import (
-    CachedMatch,
-    MatchCache,
-    MatchIndex,
-    canonical_key,
-)
-from repro.core.matching import (
-    MatchResult,
-    SampleMatcher,
-    batch_smith_waterman,
-    common_id_count,
-    smith_waterman,
-)
-from repro.core.region import RegionEstimate, infer_region_speeds, segment_adjacency
-from repro.core.server import BackendServer, ServerStats, TripReport
-from repro.core.traffic_map import (
-    SegmentReading,
-    SpeedLevel,
-    TrafficMapEstimator,
-    TrafficSnapshot,
-    speed_level,
-)
-from repro.core.traffic_model import SpeedEstimate, TrafficModel, fit_b
-from repro.core.trip_mapping import (
-    MappedStop,
-    MappedTrip,
-    RouteConstraint,
-    enumerate_best_sequence,
-    map_trip,
-)
+Names are resolved lazily (PEP 562): ``import repro.core.matching``
+loads the matcher and its few dependencies, not the server, the store
+and the rest of the pipeline.  ``from repro.core import X`` and
+``repro.core.X`` work as before, importing X's module on first use.
+"""
 
-__all__ = [
-    "CandidateStop",
-    "MatchedSample",
-    "SampleCluster",
-    "cluster_trip_samples",
-    "link_affinity",
-    "ArrivalPrediction",
-    "ArrivalPredictor",
-    "expected_dwell_s",
-    "infer_route",
-    "BootstrapStats",
-    "DatabaseBootstrapper",
-    "FingerprintDatabase",
-    "StoredFingerprint",
-    "BayesianSpeedFuser",
-    "FusedSpeed",
-    "IngestEngine",
-    "PreparedTrip",
-    "prepare_trip",
-    "CachedMatch",
-    "MatchCache",
-    "MatchIndex",
-    "canonical_key",
-    "MatchResult",
-    "SampleMatcher",
-    "batch_smith_waterman",
-    "common_id_count",
-    "smith_waterman",
-    "RegionEstimate",
-    "infer_region_speeds",
-    "segment_adjacency",
-    "BackendServer",
-    "ServerStats",
-    "TripReport",
-    "SegmentReading",
-    "SpeedLevel",
-    "TrafficMapEstimator",
-    "TrafficSnapshot",
-    "speed_level",
-    "SpeedEstimate",
-    "TrafficModel",
-    "fit_b",
-    "MappedStop",
-    "MappedTrip",
-    "RouteConstraint",
-    "enumerate_best_sequence",
-    "map_trip",
-]
+from importlib import import_module
+from typing import Dict
+
+#: Public name → the submodule defining it.
+_EXPORTS: Dict[str, str] = {
+    "CandidateStop": "clustering",
+    "MatchedSample": "clustering",
+    "SampleCluster": "clustering",
+    "cluster_trip_samples": "clustering",
+    "link_affinity": "clustering",
+    "ArrivalPrediction": "arrival",
+    "ArrivalPredictor": "arrival",
+    "expected_dwell_s": "arrival",
+    "infer_route": "arrival",
+    "BootstrapStats": "bootstrap",
+    "DatabaseBootstrapper": "bootstrap",
+    "FingerprintDatabase": "fingerprint",
+    "StoredFingerprint": "fingerprint",
+    "BayesianSpeedFuser": "fusion",
+    "FusedSpeed": "fusion",
+    "PreparedTrip": "ingest",
+    "prepare_trip": "ingest",
+    "CachedMatch": "match_index",
+    "MatchCache": "match_index",
+    "MatchIndex": "match_index",
+    "canonical_key": "match_index",
+    "MatchResult": "matching",
+    "SampleMatcher": "matching",
+    "batch_smith_waterman": "matching",
+    "common_id_count": "matching",
+    "RegionEstimate": "region",
+    "infer_region_speeds": "region",
+    "segment_adjacency": "region",
+    "BackendServer": "server",
+    "ServerStats": "server",
+    "TripReport": "server",
+    "SegmentReading": "traffic_map",
+    "SpeedLevel": "traffic_map",
+    "TrafficMapEstimator": "traffic_map",
+    "TrafficSnapshot": "traffic_map",
+    "speed_level": "traffic_map",
+    "SpeedEstimate": "traffic_model",
+    "TrafficModel": "traffic_model",
+    "fit_b": "traffic_model",
+    "MappedStop": "trip_mapping",
+    "MappedTrip": "trip_mapping",
+    "RouteConstraint": "trip_mapping",
+    "enumerate_best_sequence": "trip_mapping",
+    "map_trip": "trip_mapping",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the defining submodule on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

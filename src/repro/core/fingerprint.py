@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.city.stops import StopRegistry
 from repro.config import MatchingConfig
-from repro.core.matching import smith_waterman
+from repro.core.matching import batch_smith_waterman
 from repro.radio.scanner import CellularScanner
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -88,14 +88,13 @@ class FingerprintDatabase:
         if len(samples) == 1:
             self.set_fingerprint(station_id, samples[0])
             return
-        totals = []
-        for i, candidate in enumerate(samples):
-            total = sum(
-                smith_waterman(candidate, other, self.config)
-                for j, other in enumerate(samples)
-                if j != i
-            )
-            totals.append(total)
+        k = len(samples)
+        scores = batch_smith_waterman(
+            [candidate for candidate in samples for _ in range(k - 1)],
+            [other for i in range(k) for j, other in enumerate(samples) if j != i],
+            self.config,
+        ).tolist()
+        totals = [sum(scores[i * (k - 1): (i + 1) * (k - 1)]) for i in range(k)]
         self.set_fingerprint(station_id, samples[int(np.argmax(totals))])
 
     @classmethod
@@ -144,7 +143,7 @@ class FingerprintDatabase:
             self.set_fingerprint(station_id, tower_ids)
             return True
         current = self._fingerprints[station_id]
-        score = smith_waterman(tower_ids, current, self.config)
+        score = batch_smith_waterman([tower_ids], [current], self.config)[0]
         if score >= min_score and len(tower_ids) > len(current):
             self.set_fingerprint(station_id, tower_ids)
             return True

@@ -1,19 +1,27 @@
-"""Candidate pruning and memoization for per-sample matching (§III-C1).
+"""Candidate planning and memoization for per-sample matching (§III-C1).
 
 Per-sample matching is the backend's hottest path: naively, every
 uploaded cellular sample runs a Smith-Waterman alignment against every
-stop fingerprint, O(stops × |seq|²) per sample.  Two observations make
-that cost avoidable without changing a single verdict:
+stop fingerprint, O(stops × |seq|²) per sample.  Three observations make
+most of that cost avoidable without changing a single verdict:
 
 * **Zero-overlap pruning is exact.**  Smith-Waterman only ever adds a
   positive term on a *matching* cell id; a fingerprint sharing no id
   with the sample can accumulate only mismatch/gap penalties, which the
   local-alignment clamp floors at 0.  Its score is therefore exactly
-  0.0 < γ = 2, so it can never be accepted *and* never participate in
-  a tie-break (ties only form at or above γ).  Scoring only the
-  stations that share at least one cell id with the sample —
-  :class:`MatchIndex`, an inverted cell-id → stations map — provably
-  returns the same verdict as the full scan.
+  0.0 < γ, so it can never be accepted *and* never participate in a
+  tie-break (ties only form at or above γ).  The stations sharing at
+  least one cell id are the *logical candidate pool* the ``matcher_*``
+  accounting counts.
+
+* **The common-id bound is exact.**  Fingerprint ids are distinct, so
+  every match step of an alignment consumes a different common id and
+  a pair with ``c`` common ids scores at most ``c × match_score``
+  (:func:`~repro.core.matching.min_common_ids` turns that into the
+  minimum ``c`` worth scoring).  :class:`MatchIndex` holds a dense
+  tower × station incidence matrix, so one product gives every
+  (sample, station) pair's common-id count for a whole upload: the
+  pool, the pruning and the tie-break all read it.
 
 * **Verdicts are a pure function of the sequence.**  For a fixed
   fingerprint database, the full ``(station, score, common_ids)``
@@ -26,30 +34,28 @@ that cost avoidable without changing a single verdict:
   (:meth:`~repro.core.matching.SampleMatcher.rebuild` does this).
 
 Telemetry: physical-work metrics live here — ``match_index_candidates``
-(candidate pool per index lookup), ``match_prune_ratio`` (fraction of
-the database pruned away, run-to-date), ``match_cache_hits_total`` /
-``match_cache_misses_total`` / ``match_cache_evictions_total`` /
+(candidate pool per planned sample), ``match_prune_ratio`` (fraction of
+the database outside the pools, run-to-date), ``match_cache_hits_total``
+/ ``match_cache_misses_total`` / ``match_cache_evictions_total`` /
 ``match_cache_invalidations_total`` and the ``match_cache_entries``
 gauge.  They are deliberately *not* ``matcher_``-prefixed: the golden
 trace snapshots ``matcher_*`` as a deterministic function of the upload
-stream, whereas cache hits and index lookups depend on sharding and
-worker count.
+stream, whereas memo hits depend on the memo's size and history.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import islice
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
-    Tuple,
+    TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Sequence, Set, Tuple,
 )
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
 
 if TYPE_CHECKING:                        # matching.py imports this module
     from repro.core.matching import MatchResult
-    from repro.core.shared_store import FingerprintArrays
 
 __all__ = ["CachedMatch", "MatchCache", "MatchIndex", "canonical_key"]
 
@@ -66,123 +72,112 @@ def canonical_key(tower_ids: Sequence[int]) -> Tuple[int, ...]:
 
 
 class MatchIndex:
-    """Inverted cell-id → candidate-station index over a fingerprint DB.
+    """Dense tower × station incidence over a fingerprint DB.
 
-    ``candidates(sample)`` returns every station whose fingerprint
-    shares at least one cell id with the sample — the only stations a
-    Smith-Waterman scan can score above 0.0 (see the module docstring
-    for the exactness argument).  The index is immutable once built;
-    rebuild it when the database changes.
+    ``station_ids`` are sorted and ``towers`` are the sorted distinct
+    cell ids; ``incidence[t, s]`` is 1.0 when station ``s``'s
+    fingerprint contains tower ``t``.  :meth:`common_counts` multiplies
+    a batch of samples' one-hot rows by it; :meth:`candidates` is the
+    one-sample view.  The index is immutable once built; rebuild it when
+    the database changes.
     """
 
     __slots__ = (
-        "_stations_by_tower", "_station_count", "_arrays", "_observing",
+        "station_ids", "towers", "known", "incidence", "_observing",
         "_h_candidates", "_g_prune_ratio", "_lookups", "_candidates_seen",
     )
 
     def __init__(
         self,
-        fingerprints: Dict[int, Tuple[int, ...]],
+        fingerprints: Dict[int, Sequence[int]],
         *,
         registry: Optional[MetricsRegistry] = None,
     ):
         if not fingerprints:
             raise ValueError("match index needs a non-empty fingerprint database")
-        stations_by_tower: Dict[int, list] = {}
-        for station_id, towers in fingerprints.items():
-            for tower in set(towers):
-                stations_by_tower.setdefault(int(tower), []).append(
-                    int(station_id)
-                )
-        self._stations_by_tower: Optional[Dict[int, Tuple[int, ...]]] = {
-            tower: tuple(sorted(stations))
-            for tower, stations in stations_by_tower.items()
-        }
-        self._arrays = None
-        self._station_count = len(fingerprints)
-        self._init_metrics(registry)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: "FingerprintArrays",
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> "MatchIndex":
-        """An index answering straight from :class:`FingerprintArrays`.
-
-        The CSR-style ``towers → station ordinals`` arrays *are* the
-        inverted index — when they live in shared memory the worker pays
-        no per-process rebuild and shares the coordinator's pages.
-        Candidate sets, lookup metrics and exactness guarantees are
-        identical to the dict-backed constructor.
-        """
-        if not len(arrays):
-            raise ValueError("match index needs a non-empty fingerprint database")
-        index = cls.__new__(cls)
-        index._stations_by_tower = None
-        index._arrays = arrays
-        index._station_count = len(arrays)
-        index._init_metrics(registry)
-        return index
-
-    def _init_metrics(self, registry: Optional[MetricsRegistry]) -> None:
+        self.station_ids = np.array(sorted(fingerprints), dtype=np.int64)
+        self.known = frozenset(
+            int(t) for seq in fingerprints.values() for t in seq
+        )
+        self.towers = np.array(sorted(self.known), dtype=np.int64)
+        self.incidence = np.zeros((len(self.towers), len(self.station_ids)))
+        for ordinal, sid in enumerate(self.station_ids.tolist()):
+            seq = np.asarray(fingerprints[sid], dtype=np.int64)
+            self.incidence[np.searchsorted(self.towers, seq), ordinal] = 1.0
         reg = registry if registry is not None else NULL_REGISTRY
         self._observing = not isinstance(reg, NullRegistry)
         self._h_candidates = reg.histogram(
             "match_index_candidates",
             buckets=(0, 1, 2, 5, 10, 20, 50),
-            help="candidate stations per inverted-index lookup",
+            help="candidate stations per planned sample",
         )
         self._g_prune_ratio = reg.gauge(
             "match_prune_ratio",
-            help="fraction of (sample, station) pairs the index pruned away",
+            help="fraction of (sample, station) pairs outside the candidate pools",
         )
         self._lookups = 0
         self._candidates_seen = 0
 
     def __len__(self) -> int:
         """Number of indexed stations."""
-        return self._station_count
+        return len(self.station_ids)
 
     @property
     def tower_count(self) -> int:
         """Number of distinct cell ids across all fingerprints."""
-        if self._arrays is not None:
-            return self._arrays.tower_count
-        return len(self._stations_by_tower)
+        return len(self.towers)
 
     def stations_for(self, tower_id: int) -> Tuple[int, ...]:
         """The stations whose fingerprint contains ``tower_id`` (sorted)."""
-        if self._arrays is not None:
-            return self._arrays.stations_for(tower_id)
-        return self._stations_by_tower.get(int(tower_id), ())
+        if int(tower_id) not in self.known:
+            return ()
+        pos = int(np.searchsorted(self.towers, int(tower_id)))
+        return tuple(self.station_ids[self.incidence[pos] > 0].tolist())
+
+    def common_counts(self, queries: np.ndarray) -> np.ndarray:
+        """``(P, S)`` common-id counts for ``(P, n)`` padded sample rows.
+
+        Each row's ids become a one-hot row over ``towers``; a repeated
+        id sets its column once (so counts are distinct shared ids, as
+        :func:`~repro.core.matching.common_id_count` defines them), and
+        ids outside :attr:`known` — padding included — set nothing.
+        Counts are small integers, exact in float64.
+        """
+        rows = len(queries)
+        one_hot = np.zeros((rows, len(self.towers)))
+        if len(self.towers) and queries.size:
+            pos = np.minimum(
+                np.searchsorted(self.towers, queries), len(self.towers) - 1
+            )
+            hit = self.towers[pos] == queries
+            one_hot[np.nonzero(hit)[0], pos[hit]] = 1.0
+        counts = one_hot @ self.incidence
+        if self._observing:
+            for pool in np.count_nonzero(counts, axis=1).tolist():
+                self._observe(pool)
+        return counts
 
     def candidates(self, tower_ids: Iterable[int]) -> Set[int]:
         """Stations sharing at least one cell id with the sample.
 
         Only these can score above zero; the differential oracle scans
-        the whole database and must agree — any station pruned here
+        the whole database and must agree — any station left out here
         that could still win is a bug.
         """
-        if self._arrays is not None:
-            found = self._arrays.candidate_set(tower_ids)
-        else:
-            lookup = self._stations_by_tower
-            found = set()
-            for tower in tower_ids:
-                stations = lookup.get(tower)
-                if stations:
-                    found.update(stations)
-        if self._observing:
-            self._lookups += 1
-            self._candidates_seen += len(found)
-            self._h_candidates.observe(len(found))
-            self._g_prune_ratio.set(
-                1.0 - self._candidates_seen
-                / (self._lookups * self._station_count)
-            )
-        return found
+        known = self.known
+        ids = np.asarray(
+            [t for t in map(int, tower_ids) if t in known], dtype=np.int64
+        )
+        counts = self.common_counts(ids.reshape(1, -1))[0]
+        return set(self.station_ids[counts > 0].tolist())
+
+    def _observe(self, pool: int) -> None:
+        self._lookups += 1
+        self._candidates_seen += pool
+        self._h_candidates.observe(pool)
+        self._g_prune_ratio.set(
+            1.0 - self._candidates_seen / (self._lookups * len(self.station_ids))
+        )
 
 
 class CachedMatch(NamedTuple):
@@ -205,8 +200,7 @@ class MatchCache:
     Keys are :func:`canonical_key` sequences; values are
     :class:`CachedMatch`.  ``maxsize=0`` disables the cache (every
     lookup misses, nothing is stored) so one code path serves both
-    configurations.  Not thread-safe — each ingest worker owns its own
-    instance, exactly like its matcher.
+    configurations.  Not thread-safe; each matcher owns its own.
     """
 
     __slots__ = (
@@ -291,44 +285,6 @@ class MatchCache:
                 self._c_evictions.inc()
         if self._observing:
             self._g_entries.set(len(entries))
-
-    def hottest(
-        self, n: int
-    ) -> List[Tuple[Tuple[int, ...], CachedMatch]]:
-        """The ``n`` most recently used entries, hottest first.
-
-        This is the coordinator half of the worker memo pre-warm
-        protocol: the entries ship to each pool worker at init so its
-        memo starts hot instead of re-scoring the very sequences the
-        coordinator already settled.  Verdicts are pure functions of the
-        sequence for a fixed database, so pre-warming can never change a
-        result — only skip physical work.
-        """
-        if n <= 0:
-            return []
-        return list(islice(reversed(self._entries.items()), n))
-
-    def preload(
-        self, entries: Iterable[Tuple[Tuple[int, ...], CachedMatch]]
-    ) -> None:
-        """Silently adopt verdicts (worker half of the pre-warm protocol).
-
-        Entries arrive hottest-first and are inserted coldest-first so
-        recency order survives; the LRU bound is respected and no
-        hit/miss/eviction counters move — pre-warming is not lookup
-        traffic, and counting it would skew the physical cache stats.
-        """
-        if not self.maxsize:
-            return
-        store = self._entries
-        for key, entry in reversed(list(entries)):
-            if key in store:
-                store.move_to_end(key)
-            store[key] = entry
-            if len(store) > self.maxsize:
-                store.popitem(last=False)
-        if self._observing:
-            self._g_entries.set(len(store))
 
     def invalidate(self) -> None:
         """Drop every entry — required whenever the fingerprint DB changes."""

@@ -11,10 +11,15 @@ match +1 and tuned gap/mismatch penalties of 0.3 (the paper sweeps
 A sample is assigned to the best-scoring stop if that score clears the
 acceptance threshold γ = 2; ties are broken by the number of common
 cell ids (§III-C1).
+
+Core keeps one Smith-Waterman, the vectorised :func:`_sw_kernel`; the
+scalar textbook recurrence lives in :mod:`repro.testkit.oracles` as the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,92 +32,95 @@ from repro.core.match_index import (
     MatchIndex,
     canonical_key,
 )
-from repro.core.shared_store import FingerprintArrays, SharedFingerprintStore
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
 
+#: Float64 cells per kernel chunk (~16 MB of DP buffer): a hostile upload
+#: with very long samples or thousands of pairs is scored in slices
+#: instead of allocating one huge ``(n+m+1, n+1, B)`` buffer.
+_KERNEL_CELLS = 1 << 21
 
-def smith_waterman(
-    upload: Sequence[int],
-    database: Sequence[int],
-    config: Optional[MatchingConfig] = None,
-) -> float:
-    """Local-alignment similarity of two ordered cell-id sequences.
+#: Skewed-gather index per ``(n, m)``: ``[d, i-1]`` is the reference
+#: column ``d - i - 1`` of cell ``(i, d - i)``, or ``m`` (the pad column)
+#: where the anti-diagonal leaves the ``n × m`` rectangle.  Memoized for
+#: the short sequences real scans produce; longer ones are built per call.
+_SKEW_INDEX: Dict[Tuple[int, int], np.ndarray] = {}
+_SKEW_MEMO_MAX = 32
 
-    >>> cfg = MatchingConfig()
-    >>> round(smith_waterman([1, 2, 3, 4, 5], [1, 7, 3, 5], cfg), 1)
-    2.4
-    """
-    config = config or MatchingConfig()
-    n, m = len(upload), len(database)
-    if n == 0 or m == 0:
-        return 0.0
-    match = config.match_score
-    mismatch = -config.mismatch_penalty
-    gap = -config.gap_penalty
 
-    best = 0.0
-    previous = np.zeros(m + 1)
-    current = np.zeros(m + 1)
-    for i in range(1, n + 1):
-        current[0] = 0.0
-        a = upload[i - 1]
-        for j in range(1, m + 1):
-            substitution = previous[j - 1] + (match if a == database[j - 1] else mismatch)
-            value = max(0.0, substitution, previous[j] + gap, current[j - 1] + gap)
-            current[j] = value
-            if value > best:
-                best = value
-        previous, current = current, previous
-    return float(best)
+def _skew_index(n: int, m: int) -> np.ndarray:
+    index = _SKEW_INDEX.get((n, m))
+    if index is None:
+        d = np.arange(n + m + 1)[:, None]
+        i = np.arange(1, n + 1)[None, :]
+        j = d - i
+        index = np.where((j >= 1) & (j <= m), j - 1, m)
+        if n <= _SKEW_MEMO_MAX and m <= _SKEW_MEMO_MAX:
+            _SKEW_INDEX[(n, m)] = index
+    return index
 
 
 def _sw_kernel(
     query: np.ndarray, ref: np.ndarray, config: MatchingConfig
 ) -> np.ndarray:
-    """Anti-diagonal Smith-Waterman over padded ``(B, n)`` / ``(B, m)``
-    int matrices; returns the ``(B,)`` best local-alignment scores.
+    """Skewed anti-diagonal Smith-Waterman over padded ``(B, n)`` /
+    ``(B, m)`` int matrices; returns the ``(B,)`` best local-alignment
+    scores.
 
-    The DP recurrence couples cell ``(i, j)`` to ``(i-1, j-1)``,
-    ``(i-1, j)`` and ``(i, j-1)`` — all on the two *previous
-    anti-diagonals* ``i + j - 2`` and ``i + j - 1``.  Sweeping
-    diagonals therefore vectorises every cell of a diagonal across the
-    whole batch at once (``n + m`` numpy steps instead of ``n × m``
-    Python iterations) while computing each cell with *exactly* the
-    elementwise adds and maxes of the scalar recurrence, in float64 —
-    bit-identical scores, not merely close ones.  Diagonal ``d`` is
-    stored indexed by row ``i`` (``diag[d][i] = H[i][d - i]``); row 0
-    and the never-written tail of each buffer carry the zero boundary.
+    The DP couples cell ``(i, j)`` to ``(i-1, j-1)``, ``(i-1, j)`` and
+    ``(i, j-1)`` — all on the two *previous anti-diagonals*.  The DP
+    table is therefore stored skewed: row ``d`` of one ``(n+m+1, n+1,
+    B)`` buffer holds diagonal ``d`` indexed by ``i`` (``H[d, i] =
+    H(i, d - i)`` for every pair at once), and the substitution scores
+    are computed once per call and gathered into the same layout.  Each diagonal then costs
+    one add, one add of the gap to the larger of its two gap
+    predecessors, and three in-place maxima; one ``max`` at the end
+    reads the answer.
+
+    Exactness: every cell gets the scalar recurrence's float64 values —
+    ``max(0, diag + s, up + gap, left + gap)``, where
+    ``max(up, left) + gap`` equals ``max(up + gap, left + gap)`` bit for
+    bit because rounding is monotone.  Cells outside the ``n × m``
+    rectangle get the mismatch score: those left of column 1 stay at
+    0 (every term is ≤ 0 there), and those right of column ``m`` are
+    never read by a real cell and cannot exceed the real maximum, as
+    every penalty is ≤ 0.
 
     Callers own the padding contract: query rows padded with one
     sentinel, ref rows with a *different* one, both below every real
-    id, so padding never scores a match and the maxima of the real
-    region are untouched.
+    id, so padding never scores a match.
     """
     batch, n = query.shape
     m = ref.shape[1]
-    best = np.zeros(batch)
     if batch == 0 or n == 0 or m == 0:
-        return best
-    match = config.match_score
-    mismatch = -config.mismatch_penalty
+        return np.zeros(batch)
+    rows = max(1, _KERNEL_CELLS // ((n + m + 1) * (n + 1)))
+    if batch > rows:
+        return np.concatenate([
+            _sw_kernel(query[lo: lo + rows], ref[lo: lo + rows], config)
+            for lo in range(0, batch, rows)
+        ])
     gap = -config.gap_penalty
-    prev2 = np.zeros((batch, n + 1))       # diagonal d-2, indexed by i
-    prev1 = np.zeros((batch, n + 1))       # diagonal d-1, indexed by i
+    # The pad column stands for cells off the rectangle: any id below
+    # both sides' minima, so it never equals a query entry.
+    pad = min(int(query.min()), int(ref.min())) - 1
+    ref_ext = np.empty((m + 1, batch), dtype=ref.dtype)
+    ref_ext[:m] = ref.T
+    ref_ext[m] = pad
+    skewed = ref_ext[_skew_index(n, m)]                    # (n+m+1, n, B)
+    subst = np.where(
+        skewed == query.T, config.match_score, -config.mismatch_penalty
+    )
+    # Batch is the last axis, so every diagonal is one contiguous block.
+    table = np.zeros((n + m + 1, n + 1, batch))
+    step = np.empty((n, batch))
     for d in range(2, n + m + 1):
-        i_lo = max(1, d - m)        # 1 ≤ i_lo ≤ i_hi always holds here
-        i_hi = min(n, d - 1)
-        q = query[:, i_lo - 1: i_hi]                    # rows i_lo..i_hi
-        r = ref[:, d - i_hi - 1: d - i_lo][:, ::-1]     # cols d-i, aligned
-        s = np.where(q == r, match, mismatch)
-        value = prev2[:, i_lo - 1: i_hi] + s            # diag move
-        np.maximum(value, prev1[:, i_lo - 1: i_hi] + gap, out=value)
-        np.maximum(value, prev1[:, i_lo: i_hi + 1] + gap, out=value)
+        value = table[d, 1:]
+        np.add(table[d - 2, :-1], subst[d], out=value)
+        np.maximum(table[d - 1, :-1], table[d - 1, 1:], out=step)
+        step += gap
+        np.maximum(value, step, out=value)
         np.maximum(value, 0.0, out=value)
-        current = np.zeros((batch, n + 1))
-        current[:, i_lo: i_hi + 1] = value
-        np.maximum(best, value.max(axis=1), out=best)
-        prev2, prev1 = prev1, current
-    return best
+    return table.reshape(-1, batch).max(axis=0)
 
 
 def batch_smith_waterman(
@@ -122,15 +130,16 @@ def batch_smith_waterman(
 ) -> np.ndarray:
     """Smith-Waterman scores for B (upload, database) pairs at once.
 
-    Identical results to :func:`smith_waterman` pair by pair, but the DP
-    runs through the anti-diagonal :func:`_sw_kernel` — a handful of
-    array ops per diagonal instead of per-pair Python loops — the hot
-    path when the server matches every sample of an upload against its
-    candidate stops.  Sequences are padded with two distinct sentinels
-    derived *below* the smallest observed id, so no tower id an upstream
-    decoder emits (including negative unknown-cell markers) can ever
-    collide with padding; padding therefore never scores a match and
-    local-alignment maxima are unchanged.
+    Identical results, bit for bit, to the scalar recurrence pair by
+    pair (:func:`repro.testkit.oracle_smith_waterman`), computed by
+    :func:`_sw_kernel`.  Sequences are padded with two distinct
+    sentinels derived *below* the smallest observed id, so no tower id
+    an upstream decoder emits (including negative unknown-cell markers)
+    can ever collide with padding.
+
+    >>> cfg = MatchingConfig()
+    >>> round(float(batch_smith_waterman([[1, 2, 3, 4, 5]], [[1, 7, 3, 5]], cfg)[0]), 1)
+    2.4
     """
     if len(uploads) != len(databases):
         raise ValueError("uploads and databases must pair up")
@@ -161,6 +170,35 @@ def common_id_count(a: Sequence[int], b: Sequence[int]) -> int:
     return len(set(a) & set(b))
 
 
+def min_common_ids(config: MatchingConfig) -> int:
+    """The fewest common ids a pair needs to possibly score ``≥ γ``.
+
+    Fingerprint ids are distinct and local alignment is monotone, so
+    each match step of an alignment uses a different common id; every
+    other step adds a penalty ≤ 0.  A pair with ``c`` common ids thus
+    scores at most ``c × match_score`` — exactly in real arithmetic and
+    within ``c`` rounding steps in float64.  The 1e-9 slack covers that
+    rounding with a wide margin, so the bound only ever lets a pair
+    through that cannot win, never drops one that could.
+    """
+    ratio = config.accept_threshold / config.match_score
+    return max(1, math.ceil(min(ratio, 1e18) * (1.0 - 1e-9)))
+
+
+def _check_config(config: MatchingConfig) -> None:
+    """The scoring domain the pruning bounds are proven for."""
+    values = (
+        config.match_score, config.mismatch_penalty, config.gap_penalty,
+        config.accept_threshold,
+    )
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("matching scores must be finite")
+    if config.match_score <= 0.0 or config.accept_threshold <= 0.0:
+        raise ValueError("match_score and accept_threshold must be positive")
+    if config.mismatch_penalty < 0.0 or config.gap_penalty < 0.0:
+        raise ValueError("mismatch and gap penalties cannot be negative")
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of matching one cellular sample against the database."""
@@ -175,44 +213,43 @@ class MatchResult:
         return self.station_id is not None
 
 
+_REJECTED = MatchResult(station_id=None, score=0.0, common_ids=0)
+
+
 class SampleMatcher:
     """Matches ordered cell-id sequences against stop fingerprints.
 
-    Two exact optimizations sit in front of the Smith-Waterman scan
-    (see :mod:`repro.core.match_index` for why neither can change a
-    verdict):
+    A batch (one upload) is answered in four steps, none of which can
+    change a verdict (see :mod:`repro.core.match_index`):
 
-    * candidate pruning — only stations sharing a cell id with the
-      sample are scored (``config.indexed``; ``False`` restores the
-      full-database reference scan);
     * memoization — repeat sequences are answered from a bounded LRU
-      (``config.cache_size``; ``0`` disables it).
+      (``config.cache_size``; ``0`` disables it), and repeats within the
+      batch are scored once;
+    * one product — :meth:`MatchIndex.common_counts` gives every
+      (sample, station) pair's common-id count for all pending samples;
+    * pruning — only pairs with at least :func:`min_common_ids` common
+      ids can reach γ, and only they are scored;
+    * one kernel call — the surviving pairs run through
+      :func:`_sw_kernel` together, and the tie-break reads the common-id
+      counts of the same product.
 
-    The ``matcher_*`` metrics count *logical* work — what a scan
-    without cache or index would have recorded — so they stay a
-    deterministic function of the upload stream (the golden trace
-    snapshots them).  Physical cache/index behaviour is reported by the
-    worker-dependent ``match_*`` families instead.
+    The ``matcher_*`` metrics count *logical* work — the candidate pool
+    of stations sharing a cell id, as a scan without cache or pruning
+    would see it — so they stay a deterministic function of the upload
+    stream (the golden trace snapshots them).  Physical memo and index
+    behaviour is reported by the ``match_*`` families instead.
     """
 
     def __init__(
         self,
-        fingerprints: Optional[Dict[int, Tuple[int, ...]]] = None,
+        fingerprints: Dict[int, Tuple[int, ...]],
         config: Optional[MatchingConfig] = None,
         *,
         registry: Optional[MetricsRegistry] = None,
-        store: Optional[SharedFingerprintStore] = None,
     ):
-        if store is not None:
-            # Zero-copy mode: the DB and inverted index are read
-            # straight out of the coordinator's shared-memory arrays.
-            arrays = store.arrays
-            fingerprints = arrays.as_dict()
-        elif fingerprints:
-            arrays = FingerprintArrays.from_dict(fingerprints)
-        else:
-            raise ValueError("matcher needs a non-empty fingerprint database")
         self.config = config or MatchingConfig()
+        _check_config(self.config)
+        self._need = min_common_ids(self.config)
         reg = registry if registry is not None else NULL_REGISTRY
         # Per-sample instrumentation sits on the server's hottest loop, so
         # it is branch-guarded rather than relying on null-object calls.
@@ -242,19 +279,37 @@ class SampleMatcher:
             help="accepted samples per matched bus stop",
         )
         self._registry = reg
-        self._fingerprints = dict(fingerprints)
-        self._arrays = arrays
-        self._index = (
-            MatchIndex.from_arrays(arrays, registry=reg)
-            if self.config.indexed
-            else None
-        )
         self._cache = MatchCache(self.config.cache_size, registry=reg)
+        self._load(fingerprints)
 
-    @property
-    def index(self) -> Optional[MatchIndex]:
-        """The inverted cell-id index (None in full-scan mode)."""
-        return self._index
+    def _load(self, fingerprints: Dict[int, Tuple[int, ...]]) -> None:
+        """Build the index and the padded fingerprint matrix."""
+        if not fingerprints:
+            raise ValueError("matcher needs a non-empty fingerprint database")
+        fingerprints = {
+            int(sid): canonical_key(towers)
+            for sid, towers in fingerprints.items()
+        }
+        for sid, towers in fingerprints.items():
+            if len(set(towers)) != len(towers):
+                raise ValueError(
+                    f"fingerprint of station {sid} repeats a tower id"
+                )
+        self._fingerprints = fingerprints
+        self._index = MatchIndex(fingerprints, registry=self._registry)
+        stations = self._index.station_ids
+        width = max(1, max(len(t) for t in fingerprints.values()))
+        # Sentinels sit below every database id: fingerprint rows are
+        # padded with ``min - 2``, and query rows with ``min - 1``, which
+        # also stands in for every sample id outside the database (such
+        # an id never matches, whatever its value).
+        min_id = min((min(t) for t in fingerprints.values() if t), default=0)
+        self._query_pad = min_id - 1
+        matrix = np.full((len(stations), width), min_id - 2, dtype=np.int64)
+        for row, sid in enumerate(stations.tolist()):
+            towers = fingerprints[sid]
+            matrix[row, : len(towers)] = towers
+        self._matrix = matrix
 
     @property
     def cache(self) -> MatchCache:
@@ -264,48 +319,19 @@ class SampleMatcher:
     def rebuild(self, fingerprints: Dict[int, Tuple[int, ...]]) -> None:
         """Swap in a rebuilt fingerprint database.
 
-        Rebuilds the inverted index and invalidates the memo — a cached
+        Rebuilds the incidence index and invalidates the memo — a cached
         verdict against the old database would otherwise be served
         against the new one.
         """
-        if not fingerprints:
-            raise ValueError("matcher needs a non-empty fingerprint database")
-        self._fingerprints = dict(fingerprints)
-        self._arrays = FingerprintArrays.from_dict(self._fingerprints)
-        if self._index is not None:
-            self._index = MatchIndex.from_arrays(
-                self._arrays, registry=self._registry
-            )
+        self._load(fingerprints)
         self._cache.invalidate()
-
-    def __getstate__(self) -> Dict:
-        """Pickle only the data a worker needs to rebuild the matcher.
-
-        Registry instruments (null-singleton or parent-owned) must not
-        cross a process boundary, so an unpickled matcher comes back
-        unobserved; the parallel ingest workers attach their own
-        registry by constructing matchers directly.
-        """
-        return {"fingerprints": self._fingerprints, "config": self.config}
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__init__(state["fingerprints"], state["config"])
-
-    def similarity(self, tower_ids: Sequence[int], station_id: int) -> float:
-        """Smith-Waterman similarity of a sample to one stop's fingerprint."""
-        return smith_waterman(tower_ids, self._fingerprints[station_id], self.config)
 
     def candidate_stations(self, tower_ids: Sequence[int]) -> set:
         """Stops sharing at least one cell id with the sample.
 
-        Only these can score above zero, so they bound the search; the
-        differential oracle scans the whole database instead and must
-        agree — any stop this prunes away that could still win is a bug.
-        In full-scan mode (``config.indexed=False``) every stop is a
-        candidate, which *is* the oracle's search space.
+        Only these can score above zero; this is the logical candidate
+        pool the ``matcher_*`` accounting counts.
         """
-        if self._index is None:
-            return set(self._fingerprints)
         return self._index.candidates(tower_ids)
 
     def _observe_verdict(self, result: MatchResult, candidates: int) -> None:
@@ -320,87 +346,58 @@ class SampleMatcher:
         else:
             self._c_rejected_verdict.inc()
 
-    def _scan(self, tower_ids: Sequence[int]) -> CachedMatch:
-        """Score the candidate pool for one sample (the uncached path)."""
-        candidates = self.candidate_stations(tower_ids)
-        best: Optional[Tuple[float, int, int]] = None   # (score, common, station)
-        for station_id in candidates:
-            score = self.similarity(tower_ids, station_id)
-            if score < self.config.accept_threshold:
-                continue
-            common = common_id_count(tower_ids, self._fingerprints[station_id])
-            key = (score, common, -station_id)          # deterministic tiebreak
-            if best is None or key > best:
-                best = key
-        if best is None:
-            result = MatchResult(station_id=None, score=0.0, common_ids=0)
-        else:
-            score, common, neg_station = best
-            result = MatchResult(
-                station_id=-neg_station, score=score, common_ids=common
-            )
-        return CachedMatch(result=result, candidates=len(candidates))
-
-    def _score_pairs(
-        self,
-        pending: Sequence[Tuple[int, ...]],
-        owner_rows: Sequence[int],
-        pair_station: Sequence[int],
-    ) -> np.ndarray:
-        """Smith-Waterman scores for (pending[row], station) pairs.
-
-        Feeds :func:`_sw_kernel` straight from the matcher's padded
-        fingerprint matrix: query rows are padded once per batch and
-        gathered per pair, reference rows are gathered by station
-        ordinal — no per-pair Python sequence building.  Sentinels
-        follow the same below-alphabet-min rule as
-        :func:`batch_smith_waterman`: the fingerprint matrix comes
-        pre-padded with ``db_min - 2``, and only when a sample carries
-        an id below every database id (lowering the derived sentinels)
-        are the gathered rows re-padded to keep both sentinels under
-        the live alphabet.
-        """
-        if not owner_rows:
-            return np.zeros(0)
-        n_max = max((len(k) for k in pending), default=0)
-        if n_max == 0:
-            return np.zeros(len(owner_rows))
-        arrays = self._arrays
-        lowest = min(
-            arrays.min_id,
-            min((min(k) for k in pending if k), default=arrays.min_id),
-        )
-        query_pad, ref_pad = lowest - 1, lowest - 2
-        query_rows = np.full((len(pending), n_max), query_pad, dtype=np.int64)
+    def _scan(self, pending: List[Tuple[int, ...]]) -> List[CachedMatch]:
+        """Verdicts for unique uncached keys, in ``pending`` order."""
+        n_max = max(len(key) for key in pending)
+        known, pad = self._index.known, self._query_pad
+        queries = np.full((len(pending), max(n_max, 1)), pad, dtype=np.int64)
         for row, key in enumerate(pending):
-            query_rows[row, : len(key)] = key
-        query = query_rows[np.asarray(owner_rows, dtype=np.intp)]
-        ref = arrays.matrix[arrays.ordinals_for(pair_station)]
-        if ref_pad != arrays.ref_pad:
-            ref = np.where(ref == arrays.ref_pad, ref_pad, ref)
-        return _sw_kernel(query, ref, self.config)
+            queries[row, : len(key)] = [t if t in known else pad for t in key]
+        common = self._index.common_counts(queries)          # (P, S)
+        pools = np.count_nonzero(common, axis=1).tolist()
+        owners, ordinals = np.nonzero(common >= self._need)
+        entries = [
+            CachedMatch(result=_REJECTED, candidates=pool) for pool in pools
+        ]
+        if not owners.size:
+            return entries
+        scores = _sw_kernel(queries[owners], self._matrix[ordinals], self.config)
+        hits = scores >= self.config.accept_threshold
+        if not hits.any():
+            return entries
+        owners, ordinals, scores = owners[hits], ordinals[hits], scores[hits]
+        shared = common[owners, ordinals]
+        # Best (score, common ids, smaller station id) per owner: sort by
+        # owner, then by the tie-break key, and keep each owner's first.
+        order = np.lexsort((ordinals, -shared, -scores, owners))
+        firsts = order[np.unique(owners[order], return_index=True)[1]]
+        stations = self._index.station_ids
+        for pick in firsts.tolist():
+            row = int(owners[pick])
+            entries[row] = CachedMatch(
+                result=MatchResult(
+                    station_id=int(stations[ordinals[pick]]),
+                    score=float(scores[pick]),
+                    common_ids=int(shared[pick]),
+                ),
+                candidates=pools[row],
+            )
+        return entries
 
     def match(self, tower_ids: Sequence[int]) -> MatchResult:
         """Best stop for a sample, or a rejection below the γ threshold."""
-        key = canonical_key(tower_ids)
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = self._scan(key)
-            self._cache.put(key, entry)
-        if self._observing:
-            self._observe_verdict(entry.result, entry.candidates)
-        return entry.result
+        return self.match_many([tower_ids])[0]
 
     def match_many(
         self, samples: Sequence[Sequence[int]]
     ) -> List[MatchResult]:
         """Match a batch of samples (one upload) in one vectorised pass.
 
-        Produces exactly the same results as calling :meth:`match` per
-        sample.  Memoized sequences are answered from the cache,
-        duplicates within the batch are scored once, and the remaining
-        unique sequences run through candidate filtering plus the
-        batched Smith-Waterman.
+        Memoized sequences are answered from the cache, duplicates
+        within the batch are scored once, and the remaining unique
+        sequences are planned by one incidence product and scored by
+        one kernel call.  Results and accounting equal matching the
+        samples one by one.
         """
         if not samples:
             return []
@@ -410,46 +407,11 @@ class SampleMatcher:
         for key in keys:
             if key in verdicts:
                 continue
-            entry = self._cache.peek(key)
-            if entry is not None:
-                verdicts[key] = entry
-            elif key not in pending:
+            entry = verdicts[key] = self._cache.peek(key)
+            if entry is None:
                 pending.append(key)
-
         if pending:
-            pair_owner: List[Tuple[int, ...]] = []
-            pair_station: List[int] = []
-            pool_sizes: Dict[Tuple[int, ...], int] = {}
-            owner_rows: List[int] = []      # row of `pending` per pair
-            for row, key in enumerate(pending):
-                candidates = self.candidate_stations(key)
-                pool_sizes[key] = len(candidates)
-                for station_id in sorted(candidates):
-                    pair_owner.append(key)
-                    pair_station.append(station_id)
-                    owner_rows.append(row)
-            scores = self._score_pairs(pending, owner_rows, pair_station)
-            threshold = self.config.accept_threshold
-            best: Dict[Tuple[int, ...], Tuple[float, int, int]] = {}
-            # Only accepted pairs need the Python-side tie-break walk;
-            # everything below γ was settled inside the kernel.
-            for hit in np.nonzero(scores >= threshold)[0]:
-                owner, station_id = pair_owner[hit], pair_station[hit]
-                common = common_id_count(owner, self._fingerprints[station_id])
-                contender = (float(scores[hit]), common, -station_id)
-                incumbent = best.get(owner)
-                if incumbent is None or contender > incumbent:
-                    best[owner] = contender
-            for key in pending:
-                chosen = best.get(key)
-                if chosen is None:
-                    result = MatchResult(station_id=None, score=0.0, common_ids=0)
-                else:
-                    score, common, neg_station = chosen
-                    result = MatchResult(
-                        station_id=-neg_station, score=score, common_ids=common
-                    )
-                entry = CachedMatch(result=result, candidates=pool_sizes[key])
+            for key, entry in zip(pending, self._scan(pending)):
                 verdicts[key] = entry
                 self._cache.put(key, entry)
 
@@ -469,7 +431,11 @@ class SampleMatcher:
 
     def scores(self, tower_ids: Sequence[int]) -> Dict[int, float]:
         """Similarity against every stop (analysis helper; no threshold)."""
-        return {
-            station_id: self.similarity(tower_ids, station_id)
-            for station_id in self._fingerprints
-        }
+        stations = sorted(self._fingerprints)
+        key = canonical_key(tower_ids)
+        values = batch_smith_waterman(
+            [key] * len(stations),
+            [self._fingerprints[s] for s in stations],
+            self.config,
+        )
+        return dict(zip(stations, values.tolist()))

@@ -22,7 +22,7 @@ from repro.config import SystemConfig
 from repro.core.clustering import MatchedSample, SampleCluster, cluster_trip_samples
 from repro.core.fingerprint import FingerprintDatabase
 from repro.core.freshness import FreshnessTracker
-from repro.core.ingest import IngestEngine, PreparedTrip, prepare_trip
+from repro.core.ingest import PreparedTrip, prepare_trip
 from repro.core.matching import SampleMatcher
 from repro.core.traffic_map import TrafficMapEstimator
 from repro.core.traffic_model import TrafficModel
@@ -332,8 +332,7 @@ class BackendServer:
         """The pure pipeline half for one upload (match → cluster → map).
 
         Reads only immutable server state (fingerprint database, route
-        constraint, configs), so callers may run it concurrently — the
-        parallel ingest workers execute exactly this via
+        constraint, configs) plus the matcher's verdict memo; see
         :func:`repro.core.ingest.prepare_trip`.
         """
         return prepare_trip(
@@ -357,8 +356,7 @@ class BackendServer:
 
         Single-writer by design — dedup ledger, stats, sliding windows,
         traffic map and freshness all live here.  Must be called in
-        upload order; :meth:`ingest_many` guarantees that even when the
-        preparation itself ran sharded across a worker pool.
+        upload order.
 
         With a durable store attached the raw ``upload`` is journaled to
         the WAL *before* anything mutates (the write-ahead contract), so
@@ -459,77 +457,17 @@ class BackendServer:
         self,
         uploads: Sequence[TripUpload],
         *,
-        workers: int = 1,
-        engine: Optional[IngestEngine] = None,
-        shard_size: Optional[int] = None,
         keep_matches: bool = False,
     ) -> List[TripReport]:
-        """Process a batch of uploads in time order, optionally sharded.
+        """Process a batch of uploads in start-time order.
 
-        With ``workers=1`` (and no ``engine``) this is the serial path —
-        identical to calling :meth:`receive_trip` per upload.  With
-        ``workers>1`` or an explicit :class:`IngestEngine`, the pure
-        match→cluster→map stages fan out across a process pool while the
-        stateful merge stays single-writer here, applied in upload
-        order.  Results — reports, ``stats``, the fused traffic map —
-        are bit-identical to the serial path at any worker count.
-
-        Duplicate uploads are filtered *before* dispatch (in upload
-        order, against the ledger and within the batch), matching the
-        serial semantics where a duplicate never reaches the matcher.
+        Identical to calling :meth:`receive_trip` per upload, sorted by
+        start time (empty uploads first).
         """
         ordered = sorted(uploads, key=lambda u: u.start_s if u.samples else 0.0)
-        own_engine = engine is None and workers > 1
-        if engine is None and not own_engine:
-            return [
-                self.receive_trip(upload, keep_matches=keep_matches)
-                for upload in ordered
-            ]
-        if own_engine:
-            engine = IngestEngine.for_server(
-                self, workers=workers, shard_size=shard_size
-            )
-        try:
-            prepared = self.prepare_many(
-                ordered, engine, keep_matches=keep_matches
-            )
-            with self.tracer.span("ingest_merge"):
-                return [
-                    self.apply_prepared(p, upload=u)
-                    for p, u in zip(prepared, ordered)
-                ]
-        finally:
-            if own_engine:
-                engine.close()
-
-    def prepare_many(
-        self,
-        uploads: Sequence[TripUpload],
-        engine: IngestEngine,
-        *,
-        keep_matches: bool = False,
-    ) -> List[PreparedTrip]:
-        """Prepared trips for ``uploads``, in order, via a worker pool.
-
-        Uploads already in the duplicate ledger — or repeated within the
-        batch — are stubbed out *before* dispatch, in upload order, so a
-        duplicate never reaches a worker's matcher (exactly the serial
-        semantics).  The ledger itself is only written by
-        :meth:`apply_prepared`, so preparing does not commit anything.
-        """
-        seen = set(self._seen_trip_keys)
-        fresh: List[TripUpload] = []
-        plan: List[Optional[PreparedTrip]] = []
-        for upload in uploads:
-            if upload.trip_key in seen:
-                plan.append(PreparedTrip.skipped(upload))
-            else:
-                seen.add(upload.trip_key)
-                plan.append(None)           # filled from the engine below
-                fresh.append(upload)
-        prepared_fresh = iter(engine.prepare(fresh, keep_matches=keep_matches))
         return [
-            slot if slot is not None else next(prepared_fresh) for slot in plan
+            self.receive_trip(upload, keep_matches=keep_matches)
+            for upload in ordered
         ]
 
     def reset_metrics(self) -> None:
@@ -612,10 +550,7 @@ class BackendServer:
         Honours the ``store_snapshot_every`` cadence (WAL records since
         the last snapshot) unless ``force`` is set.  Callers must only
         invoke this at *quiescent* points — every journaled record fully
-        applied.  The campaign snapshots at day boundaries only: with
-        ``workers > 1`` the parallel prepare merges a whole day's worker
-        metrics up front, so a mid-day registry snapshot would overcount
-        after replay.  Serial-only contexts may force-snapshot anywhere.
+        applied (between two uploads of a serial server).
         """
         if not self._journaling:
             return False

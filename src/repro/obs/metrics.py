@@ -187,7 +187,7 @@ class Histogram:
 
         ``bucket_counts`` must come from a histogram with the same bucket
         ladder (+Inf slot included); ``total`` is that histogram's sum.
-        Used to propagate worker-side histograms into a parent registry.
+        Used by :meth:`MetricsRegistry.merge_dict` (snapshot restore).
         """
         if len(bucket_counts) != len(self._counts):
             raise ValueError(
@@ -403,35 +403,19 @@ class MetricsRegistry:
             lines.extend(family.render_prometheus())
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def merge_dict(
-        self,
-        snapshot: Dict[str, Dict],
-        *,
-        skip_gauge_prefixes: Sequence[str] = (),
-    ) -> None:
+    def merge_dict(self, snapshot: Dict[str, Dict]) -> None:
         """Fold another registry's :meth:`as_dict` snapshot into this one.
 
         Counters and histograms (flat and labeled children alike) *add*.
         Gauges are levels, not flows — they are never summed; each
-        merge adopts the snapshot's value, last writer wins.  That is
-        correct for structural gauges every process computes identically
-        (``fingerprint_db_stops``), but a *point-in-time* gauge like
-        ``match_cache_entries`` would clobber the parent's own level
-        with whichever worker shard merged last — pass those families'
-        prefixes in ``skip_gauge_prefixes`` to leave the parent's value
-        (flat gauges and labeled gauge families alike) untouched.
-        Instruments missing here are created on the fly with the
-        snapshot's bucket ladder.  This is how the parallel ingest
-        engine propagates each worker's matcher/clustering/mapping
-        metrics back into the parent registry so a sharded run exports
-        the same totals as a serial one.
+        merge adopts the snapshot's value, last writer wins.  Instruments
+        missing here are created on the fly with the snapshot's bucket
+        ladder.  Merging onto a reset registry is an absolute restore,
+        which is how a server adopts a snapshot's metrics.
         """
-        skip = tuple(skip_gauge_prefixes)
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
-            if skip and name.startswith(skip):
-                continue
             self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
             histogram = self.histogram(
@@ -439,12 +423,6 @@ class MetricsRegistry:
             )
             self._merge_histogram(histogram, name, data)
         for name, family in snapshot.get("labeled", {}).items():
-            if (
-                skip
-                and family.get("type") == "gauge"
-                and name.startswith(skip)
-            ):
-                continue
             self._merge_labeled(name, family)
 
     @staticmethod
@@ -624,12 +602,7 @@ class NullRegistry(MetricsRegistry):
     ) -> _NullLabeledFamily:
         return self._null_labeled_histogram
 
-    def merge_dict(
-        self,
-        snapshot: Dict[str, Dict],
-        *,
-        skip_gauge_prefixes: Sequence[str] = (),
-    ) -> None:
+    def merge_dict(self, snapshot: Dict[str, Dict]) -> None:
         # Merging must not mutate the shared null singletons.
         pass
 

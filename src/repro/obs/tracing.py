@@ -81,11 +81,12 @@ __all__ = [
 
 #: Cost category per well-known span name, exported as the Chrome event
 #: ``cat`` field and summed (by self-time) in the ``repro trace``
-#: summary.  ``ipc`` names are the serialization / queueing / broadcast
-#: / merge costs of the sharded ingest engine; ``compute`` names are
-#: the pure pipeline stages; ``wait`` is coordinator idle time blocked
-#: on workers; ``sim`` is the synthetic-world driver; ``trip`` and
-#: ``pipeline`` are structural parents whose time lives in children.
+#: summary.  ``ipc`` and ``wait`` names are the serialization /
+#: queueing / merge costs of a cross-process caller (the in-tree
+#: pipeline is single-process and emits none); ``compute`` names are
+#: the pure pipeline stages; ``sim`` is the synthetic-world simulator;
+#: ``trip`` and ``pipeline`` are structural parents whose time lives in
+#: children.
 SPAN_CATEGORIES: Dict[str, str] = {
     "fingerprint_broadcast": "ipc",
     "shard_serialize": "ipc",

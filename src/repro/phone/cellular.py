@@ -8,6 +8,7 @@ the phone — no GPS, no coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -25,6 +26,8 @@ class CellularSample:
     rss_dbm: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time_s):
+            raise ValueError(f"sample time must be finite, not {self.time_s!r}")
         if self.rss_dbm and len(self.rss_dbm) != len(self.tower_ids):
             raise ValueError("rss_dbm length must match tower_ids")
 

@@ -94,14 +94,12 @@ class Campaign:
         end: str = "20:00",
         headway_s: Optional[float] = None,
         with_official_feed: bool = False,
-        workers: int = 1,
     ):
         self.world = world
         self.start_s = parse_hhmm(start)
         self.end_s = parse_hhmm(end)
         self.headway_s = headway_s
         self.with_official_feed = with_official_feed
-        self.workers = workers
 
     def run(
         self, phases: Sequence[CampaignPhase], *, resume: bool = False
@@ -186,7 +184,6 @@ class Campaign:
                         route_ids=phase.route_ids,
                         headway_s=self.headway_s,
                         with_official_feed=self.with_official_feed,
-                        workers=self.workers,
                         skip_events=skip_events,
                     )
                 skip_events = 0
@@ -254,10 +251,7 @@ class Campaign:
     def _fingerprint(self, phases: Sequence[CampaignPhase]) -> str:
         """Canonical identity of this campaign's configuration.
 
-        Everything that shapes the deterministic event stream is in;
-        ``workers`` is deliberately out — worker count never changes
-        results (the parity guarantee), so a campaign may resume at a
-        different parallelism than it started with.
+        Everything that shapes the deterministic event stream is in.
         """
         doc = {
             "v": 1,

@@ -21,7 +21,6 @@ from repro.city.builder import City, build_city
 from repro.city.road_network import SegmentId
 from repro.config import SystemConfig
 from repro.core.fingerprint import FingerprintDatabase
-from repro.core.ingest import IngestEngine
 from repro.core.server import BackendServer, TripReport
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -139,7 +138,6 @@ class World:
         headway_s: Optional[float] = None,
         dsp_mode: DspMode = DspMode.FAST,
         with_official_feed: bool = True,
-        workers: int = 1,
         keep_matches: bool = False,
         skip_events: int = 0,
     ) -> SimulationResult:
@@ -151,12 +149,6 @@ class World:
         channel (loss, latency, reordering) and the arrivals interleave
         with the server's 5-minute publication ticks through the event
         engine.
-
-        ``workers > 1`` runs the pure match→cluster→map stages of every
-        delivered upload across a process pool up front (in delivery
-        order), then replays the stateful merge at the original event
-        times — the map, stats and reports are bit-identical to the
-        serial run.
 
         ``skip_events`` silently swallows the first N backend events
         (trip deliveries *and* publish ticks, in engine firing order).
@@ -239,58 +231,22 @@ class World:
         reports: List[TripReport] = []
         with self.tracer.span("ingest"):
             sim = Simulator(start_time=start_s)
-            if workers > 1:
-                # Fan the pure stages out now, in delivery order (the
-                # same order the events below fire in), then schedule
-                # only the single-writer merges at the original times.
-                with IngestEngine.for_server(
-                    self.server, workers=workers
-                ) as engine:
-                    prepared_all = self.server.prepare_many(
-                        [upload for _, upload in timed_uploads],
-                        engine,
+            def _deliver(sim_state, upload):
+                if _consume_skip():
+                    return
+                reports.append(
+                    self.server.receive_trip(
+                        upload,
+                        now_s=sim_state.now,
                         keep_matches=keep_matches,
                     )
-                def _merge(sim_state, prepared_trip, upload):
-                    if _consume_skip():
-                        return
-                    # Keyed span: slow single-writer merges surface as
-                    # slow-trip exemplars alongside slow worker trips.
-                    with self.tracer.span(
-                        "ingest_merge", key=prepared_trip.trip_key
-                    ):
-                        reports.append(
-                            self.server.apply_prepared(
-                                prepared_trip,
-                                now_s=sim_state.now,
-                                upload=upload,
-                            )
-                        )
+                )
 
-                for (arrive_at, upload), prepared in zip(
-                    timed_uploads, prepared_all
-                ):
-                    sim.schedule(
-                        max(arrive_at, start_s),
-                        lambda s, p=prepared, u=upload: _merge(s, p, u),
-                    )
-            else:
-                def _deliver(sim_state, upload):
-                    if _consume_skip():
-                        return
-                    reports.append(
-                        self.server.receive_trip(
-                            upload,
-                            now_s=sim_state.now,
-                            keep_matches=keep_matches,
-                        )
-                    )
-
-                for arrive_at, upload in timed_uploads:
-                    sim.schedule(
-                        max(arrive_at, start_s),
-                        lambda s, u=upload: _deliver(s, u),
-                    )
+            for arrive_at, upload in timed_uploads:
+                sim.schedule(
+                    max(arrive_at, start_s),
+                    lambda s, u=upload: _deliver(s, u),
+                )
             horizon = max(
                 [end_s] + [arrive_at for arrive_at, _ in timed_uploads]
             ) + 1.0
@@ -362,7 +318,6 @@ def simulate_day(
     headway_s: Optional[float] = None,
     dsp_mode: DspMode = DspMode.FAST,
     with_official_feed: bool = True,
-    workers: int = 1,
 ) -> SimulationResult:
     """Build a world and run one service day (the common entry point)."""
     world = World(city=city, config=config, seed=seed)
@@ -373,5 +328,4 @@ def simulate_day(
         headway_s=headway_s,
         dsp_mode=dsp_mode,
         with_official_feed=with_official_feed,
-        workers=workers,
     )

@@ -14,8 +14,8 @@ rewritten for speed.  This package is their standing referee:
   each estimator plus the fixed end-to-end *golden* scenario.
 * :mod:`repro.testkit.golden` — records a full end-to-end run (uploads,
   per-stage intermediates, final map + stats) as a canonical JSON trace,
-  with normalization rules that make traces byte-identical across
-  ``--workers 1..N``, and diffs traces structurally.
+  with normalization rules that make traces byte-identical across runs,
+  and diffs traces structurally.
 * :mod:`repro.testkit.conformance` — orchestrates differential runs and
   golden checks; backs the ``repro conformance`` CLI verb and CI's
   conformance smoke job.

@@ -8,8 +8,8 @@ Two independent referees, one verdict:
   both sides perform the same IEEE-754 operations in the same order, so
   any difference is a semantic divergence, not noise).
 * **Golden** — :func:`check_golden` re-runs the fixed end-to-end golden
-  campaign at several worker counts and demands every run render
-  byte-identically to the committed fixture.
+  campaign and demands it render byte-identically to the committed
+  fixture.
 
 ``repro conformance`` and ``scripts/conformance_smoke.py`` are thin
 shells over :func:`run_conformance`.
@@ -17,9 +17,9 @@ shells over :func:`run_conformance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,36 +55,15 @@ __all__ = [
     "run_differential",
 ]
 
-#: Worker counts every golden check replays the campaign at.
-DEFAULT_WORKER_COUNTS: Tuple[int, ...] = (1, 2, 4)
-
-
 # -- differential --------------------------------------------------------------
 
 
-def _matcher_config(config, matcher: str):
-    """The scenario's matching config, adjusted for the requested mode.
-
-    ``indexed`` is the production path — candidate pruning plus the
-    verdict memo (which the per-sample/batched double run below
-    exercises: the batch pass replays sequences the per-sample pass
-    already cached).  ``full`` strips both, scanning the whole database
-    exactly like the oracle.
-    """
-    if matcher == "indexed":
-        return replace(config, indexed=True)
-    if matcher == "full":
-        return replace(config, indexed=False, cache_size=0)
-    raise ValueError(f"unknown matcher mode {matcher!r} (indexed|full)")
-
-
-def _check_matching(
-    rng: np.random.Generator, tag: str, matcher: str = "indexed"
-) -> List[str]:
+def _check_matching(rng: np.random.Generator, tag: str) -> List[str]:
+    """The production matcher (memo, incidence plan, pruned kernel) vs
+    the oracle's whole-database scan, per sample and batched — the
+    batch pass replays sequences the per-sample pass already cached."""
     scenario = random_matching_scenario(rng)
-    optimized = SampleMatcher(
-        scenario.fingerprints, _matcher_config(scenario.config, matcher)
-    )
+    optimized = SampleMatcher(scenario.fingerprints, scenario.config)
     oracle = OracleMatcher(scenario.fingerprints, scenario.config)
     failures: List[str] = []
     expected = oracle.match_many(scenario.samples)
@@ -149,22 +128,16 @@ def _check_mapping(rng: np.random.Generator, tag: str) -> List[str]:
     return failures
 
 
-def run_differential(
-    scenarios: int = 25, seed: int = 0, matcher: str = "indexed"
-) -> List[str]:
+def run_differential(scenarios: int = 25, seed: int = 0) -> List[str]:
     """Differentially test all three estimators on randomized scenarios.
 
     Returns failure messages (empty = conformant).  Scenario ``i`` is
     seeded as ``(seed, i)``, so a reported tag reproduces standalone.
-    ``matcher`` selects the matching path under test — ``indexed``
-    (candidate pruning + memo, the production default) or ``full``
-    (whole-database scan); both must be indistinguishable from the
-    oracle, so both must yield identical reports.
     """
     failures: List[str] = []
     for index in range(scenarios):
         for kind, check in (
-            ("matching", lambda r, t: _check_matching(r, t, matcher)),
+            ("matching", _check_matching),
             ("clustering", _check_clustering),
             ("mapping", _check_mapping),
         ):
@@ -176,49 +149,18 @@ def run_differential(
 # -- golden --------------------------------------------------------------------
 
 
-def _golden_traces(
-    worker_counts: Sequence[int],
-) -> Dict[int, Dict]:
-    """The golden campaign's trace at each worker count (shared city)."""
-    city = build_golden_city()
-    return {
-        workers: trace_from_run(run_golden(workers=workers, city=city))
-        for workers in worker_counts
-    }
-
-
-def record_golden(
-    fixture: Optional[Path] = None,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-) -> Tuple[Path, List[str]]:
-    """Re-record the committed fixture — after verifying worker-invariance.
-
-    The serial (``workers=1``) trace becomes the fixture, but only once
-    every other worker count renders byte-identically; otherwise nothing
-    is written and the divergences are returned.
-    """
+def record_golden(fixture: Optional[Path] = None) -> Path:
+    """Re-record the committed fixture from a fresh golden run."""
     fixture = Path(fixture) if fixture is not None else default_trace_path()
-    traces = _golden_traces(worker_counts)
-    reference = traces[worker_counts[0]]
-    failures: List[str] = []
-    for workers, trace in traces.items():
-        if render_trace(trace) != render_trace(reference):
-            for line in diff_traces(reference, trace):
-                failures.append(f"workers={workers}: {line}")
-    if failures:
-        return fixture, failures
-    write_trace(reference, fixture)
-    return fixture, []
+    write_trace(trace_from_run(run_golden(city=build_golden_city())), fixture)
+    return fixture
 
 
-def check_golden(
-    fixture: Optional[Path] = None,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-) -> Dict[int, List[str]]:
-    """Replay the golden campaign and diff each worker count vs the fixture.
+def check_golden(fixture: Optional[Path] = None) -> List[str]:
+    """Replay the golden campaign and diff it against the fixture.
 
-    Returns ``{workers: diff lines}`` — all empty means every run is
-    byte-identical to the committed trace.
+    Returns the diff lines — empty means the run is byte-identical to
+    the committed trace.
     """
     fixture = Path(fixture) if fixture is not None else default_trace_path()
     if not fixture.exists():
@@ -227,20 +169,15 @@ def check_golden(
             "`repro conformance --record`"
         )
     expected_bytes = fixture.read_text(encoding="utf-8")
-    expected = load_trace(fixture)
-    results: Dict[int, List[str]] = {}
-    for workers, trace in _golden_traces(worker_counts).items():
-        if render_trace(trace) == expected_bytes:
-            results[workers] = []
-        else:
-            diff = diff_traces(expected, trace)
-            # Byte drift without structural drift (formatting/version skew)
-            # still fails, with an explicit reason.
-            results[workers] = diff or [
-                "render differs from fixture bytes (re-record the fixture "
-                "with `repro conformance --record`)"
-            ]
-    return results
+    trace = trace_from_run(run_golden(city=build_golden_city()))
+    if render_trace(trace) == expected_bytes:
+        return []
+    # Byte drift without structural drift (formatting/version skew) still
+    # fails, with an explicit reason.
+    return diff_traces(load_trace(fixture), trace) or [
+        "render differs from fixture bytes (re-record the fixture with "
+        "`repro conformance --record`)"
+    ]
 
 
 # -- the full run --------------------------------------------------------------
@@ -254,26 +191,21 @@ class ConformanceReport:
     seed: int
     differential_failures: List[str] = field(default_factory=list)
     golden_fixture: Optional[str] = None
-    golden_results: Dict[int, List[str]] = field(default_factory=dict)
+    golden_diff: List[str] = field(default_factory=list)
     recorded: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.differential_failures and not any(
-            self.golden_results.values()
-        )
+        return not self.differential_failures and not self.golden_diff
 
-    def as_dict(self) -> Dict:
+    def as_dict(self) -> dict:
         return {
             "ok": self.ok,
             "scenarios": self.scenarios,
             "seed": self.seed,
             "differential_failures": list(self.differential_failures),
             "golden_fixture": self.golden_fixture,
-            "golden_results": {
-                str(workers): list(lines)
-                for workers, lines in sorted(self.golden_results.items())
-            },
+            "golden_diff": list(self.golden_diff),
             "recorded": self.recorded,
         }
 
@@ -290,12 +222,13 @@ class ConformanceReport:
             lines.append(f"  {failure}")
         if self.golden_fixture is not None:
             verb = "recorded" if self.recorded else "checked"
-            lines.append(f"golden: {verb} {self.golden_fixture}")
-            for workers, diffs in sorted(self.golden_results.items()):
-                state = "byte-identical" if not diffs else f"{len(diffs)} diffs"
-                lines.append(f"  workers={workers}: {state}")
-                for line in diffs:
-                    lines.append(f"    {line}")
+            state = (
+                "byte-identical" if not self.golden_diff
+                else f"{len(self.golden_diff)} diffs"
+            )
+            lines.append(f"golden: {verb} {self.golden_fixture}: {state}")
+            for line in self.golden_diff:
+                lines.append(f"  {line}")
         return "\n".join(lines)
 
 
@@ -306,28 +239,19 @@ def run_conformance(
     record: bool = False,
     check: bool = True,
     fixture: Optional[Path] = None,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-    matcher: str = "indexed",
 ) -> ConformanceReport:
     """The full conformance suite, as the CLI and CI run it.
 
-    ``record=True`` re-records the golden fixture (after verifying
-    worker-invariance) instead of checking against it.  ``matcher``
-    selects the differential matching path (``indexed`` or ``full``);
-    the report is deliberately mode-agnostic — both paths are exact, so
-    both modes must emit identical reports.
+    ``record=True`` re-records the golden fixture instead of checking
+    against it.
     """
     report = ConformanceReport(scenarios=scenarios, seed=seed)
-    report.differential_failures = run_differential(scenarios, seed, matcher)
+    report.differential_failures = run_differential(scenarios, seed)
     if record:
-        path, failures = record_golden(fixture, worker_counts)
-        report.golden_fixture = str(path)
-        report.recorded = not failures
-        report.golden_results = {0: failures} if failures else {
-            workers: [] for workers in worker_counts
-        }
+        report.golden_fixture = str(record_golden(fixture))
+        report.recorded = True
     elif check:
         path = Path(fixture) if fixture is not None else default_trace_path()
         report.golden_fixture = str(path)
-        report.golden_results = check_golden(path, worker_counts)
+        report.golden_diff = check_golden(path)
     return report

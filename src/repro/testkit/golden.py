@@ -7,18 +7,17 @@ mapped stop sequence, per-segment speed estimates), the final fused
 traffic map, the server stats, and a whitelisted metrics snapshot.
 
 Normalization rules — what makes a trace *canonical* and therefore
-byte-identical across ``--workers 1..N``:
+byte-identical across runs and hosts:
 
 * **JSON shape** — ``sort_keys=True``, two-space indent, explicit
   separators, a trailing newline; dict iteration order never matters.
 * **Floats** — rounded to 9 decimal places and negative zero collapsed
-  to zero.  The pipeline itself is bit-identical across worker counts
-  (same operations, same association order), so rounding only protects
+  to zero.  The pipeline itself is deterministic (same operations, same
+  association order), so rounding only protects
   the *rendering* from platform ``repr`` quirks, not the comparison.
 * **Metrics** — only deterministic families are snapshotted
-  (:data:`METRIC_PREFIXES` + :data:`METRIC_EXACT`).  ``ingest_*``
-  (worker-count-dependent) and wall-clock timing histograms are
-  excluded by construction.
+  (:data:`METRIC_PREFIXES` + :data:`METRIC_EXACT`).  Memo counters
+  and wall-clock timing histograms are excluded by construction.
 
 Re-record the committed fixture with ``repro conformance --record``
 after an *intentional* behaviour change, and say why in the commit.
@@ -253,7 +252,7 @@ def trace_from_run(result: SimulationResult) -> Dict:
 
     Reports are serialized in processing (delivery) order — the order
     :meth:`~repro.core.server.BackendServer.apply_prepared` committed
-    them, which the parallel engine preserves by construction.
+    them.
     """
     server = result.server
     estimator = server.traffic_map
@@ -291,11 +290,11 @@ def trace_from_run(result: SimulationResult) -> Dict:
     return _norm_tree(trace)
 
 
-def record_trace(workers: int = 1, city=None) -> Dict:
+def record_trace(city=None) -> Dict:
     """Run the golden scenario and return its canonical trace."""
     from repro.testkit.scenarios import run_golden
 
-    return trace_from_run(run_golden(workers=workers, city=city))
+    return trace_from_run(run_golden(city=city))
 
 
 # -- rendering and IO ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Spec-literal reference oracles for the §III-C estimators and the radio scan.
 
 Every function here is *deliberately naive*: a full O(n·m) Python
-Smith-Waterman matrix instead of the vectorised rolling rows, a scan of
-the whole fingerprint database instead of the inverted tower index, an
+Smith-Waterman matrix instead of the skewed vectorised kernel, a scan of
+the whole fingerprint database instead of the incidence plan, an
 O(n²) pass over every open cluster instead of the 2·t0 staleness prune,
 and exhaustive enumeration of all Π B_k candidate sequences instead of
 the Viterbi decomposition.  That makes them slow and obviously correct —
@@ -61,7 +61,14 @@ def oracle_smith_waterman(
     database: Sequence[int],
     config: Optional[MatchingConfig] = None,
 ) -> float:
-    """Table II's modified Smith-Waterman, as a full Python DP matrix."""
+    """Table I's modified Smith-Waterman, as a full Python DP matrix.
+
+    The only scalar Smith-Waterman in the package: core scores with the
+    vectorised kernel and is tested against this.
+
+    >>> round(oracle_smith_waterman([1, 2, 3, 4, 5], [1, 7, 3, 5]), 1)
+    2.4
+    """
     config = config or MatchingConfig()
     n, m = len(upload), len(database)
     if n == 0 or m == 0:
@@ -104,10 +111,20 @@ class OracleMatcher:
 
     def match(self, tower_ids: Sequence[int]) -> MatchResult:
         """Best stop for one sample, or a rejection below γ."""
+        return self.match_with_pool(tower_ids)[0]
+
+    def match_with_pool(
+        self, tower_ids: Sequence[int]
+    ) -> Tuple[MatchResult, int]:
+        """The verdict plus the candidate pool size: the number of stops
+        scoring above zero, which the optimized matcher's ``matcher_*``
+        accounting must count as its pool."""
         best: Optional[Tuple[float, int, int]] = None
+        pool = 0
         for station_id in sorted(self._fingerprints):
             fingerprint = self._fingerprints[station_id]
             score = oracle_smith_waterman(tower_ids, fingerprint, self.config)
+            pool += score > 0.0
             if score < self.config.accept_threshold:
                 continue
             common = len(set(tower_ids) & set(fingerprint))
@@ -115,11 +132,11 @@ class OracleMatcher:
             if best is None or key > best:
                 best = key
         if best is None:
-            return MatchResult(station_id=None, score=0.0, common_ids=0)
+            return MatchResult(station_id=None, score=0.0, common_ids=0), pool
         score, common, neg_station = best
         return MatchResult(
             station_id=-neg_station, score=score, common_ids=common
-        )
+        ), pool
 
     def match_many(
         self, samples: Sequence[Sequence[int]]

@@ -5,8 +5,7 @@ derives everything from a seeded ``numpy`` Generator, so a failing
 scenario index reproduces exactly.  The fixed *golden* scenario is a
 small but complete end-to-end campaign — two bus services, a half-hour
 window, the real uplink channel — whose recorded trace is committed
-under ``tests/golden/`` and must stay byte-identical across worker
-counts.
+under ``tests/golden/`` and must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -192,8 +191,7 @@ def random_mapping_scenario(rng: np.random.Generator) -> MappingScenario:
 
 # -- the fixed golden end-to-end scenario --------------------------------------
 
-#: The golden city: small enough to run three times (workers 1/2/4) in a
-#: CI smoke job, large enough to exercise matching collisions, cluster
+#: The golden city: small enough to run in a CI smoke job, large enough to exercise matching collisions, cluster
 #: merges, transfers and the uplink channel.
 GOLDEN_SPEC = CitySpec(
     name="goldenville",
@@ -216,13 +214,11 @@ def build_golden_city() -> City:
     return build_city(GOLDEN_SPEC)
 
 
-def run_golden(
-    workers: int = 1, city: Optional[City] = None
-) -> SimulationResult:
+def run_golden(city: Optional[City] = None) -> SimulationResult:
     """One full golden campaign on a fresh :class:`World`.
 
     A fresh world per call keeps the duplicate ledger, rider-id counter
-    and fused map independent across worker counts; passing a pre-built
+    and fused map independent across runs; passing a pre-built
     ``city`` just skips rebuilding identical static geometry.
     ``keep_matches=True`` exposes the per-sample verdicts the trace
     records.
@@ -239,6 +235,5 @@ def run_golden(
         parse_hhmm(GOLDEN_START),
         parse_hhmm(GOLDEN_END),
         with_official_feed=False,
-        workers=workers,
         keep_matches=True,
     )

@@ -25,6 +25,11 @@ _TRIP_VERSION = 1
 _DB_VERSION = 1
 _SNAPSHOT_VERSION = 1
 
+#: Latest plausible sample time: seconds since midnight of a campaign's
+#: first day, with a year of campaign days.  Sample times outside
+#: ``[0, CAMPAIGN_HORIZON_S]`` are rejected at decode.
+CAMPAIGN_HORIZON_S = 366 * 86_400.0
+
 
 # -- trip uploads (phone → server) -------------------------------------------
 
@@ -57,14 +62,29 @@ def trip_from_dict(payload: Dict[str, Any]) -> TripUpload:
     samples = []
     for entry in payload["samples"]:
         try:
-            time_s = float(entry["t"])
+            time_s = _sample_time(entry["t"])
             cells = tuple(_cell_id(c) for c in entry["cells"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sample entry {entry!r}") from exc
-        if not math.isfinite(time_s):
-            raise ValueError(f"non-finite sample time in {entry!r}")
+        except ValueError as exc:
+            raise ValueError(f"{exc} in sample entry {entry!r}") from exc
         samples.append(CellularSample(time_s=time_s, tower_ids=cells))
     return TripUpload(trip_key=str(payload["trip"]), samples=tuple(samples))
+
+
+def _sample_time(value: Any) -> float:
+    # JSON ``true`` decodes to a bool, and ``float("12")`` would accept a
+    # string: only a real JSON number is a time.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"sample time must be a number, not {value!r}")
+    # Range-check ints before ``float()``, which overflows on huge ones.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite sample time {value!r}")
+    if not 0 <= value <= CAMPAIGN_HORIZON_S:
+        raise ValueError(
+            f"sample time {value!r} outside [0, {CAMPAIGN_HORIZON_S:g}] s"
+        )
+    return float(value)
 
 
 def _cell_id(value: Any) -> int:

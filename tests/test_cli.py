@@ -523,44 +523,22 @@ class TestConformanceCommand:
         assert "all conformant" in output
         assert "golden:" not in output
 
-    def test_matcher_modes_emit_identical_reports(self, tmp_path, capsys):
-        """--matcher indexed and --matcher full agree byte-for-byte.
-
-        Both paths are exact, so the emitted report (and the JSON
-        report file) must be indistinguishable between modes.
-        """
-        reports = {}
-        for mode in ("indexed", "full"):
-            path = tmp_path / f"report-{mode}.json"
-            code = main([
-                "conformance", "--scenarios", "2", "--no-golden",
-                "--matcher", mode, "--report-out", str(path),
-            ])
-            assert code == 0
-            reports[mode] = path.read_text()
-        assert reports["indexed"] == reports["full"]
-        assert "all conformant" in capsys.readouterr().out
-
-    def test_rejects_unknown_matcher_mode(self):
-        with pytest.raises(SystemExit):
-            main(["conformance", "--matcher", "sloppy"])
-
     def test_serial_golden_check_against_committed_fixture(
         self, tmp_path, capsys
     ):
         report_path = str(tmp_path / "report.json")
         code = main([
-            "conformance", "--scenarios", "2", "--workers", "1",
+            "conformance", "--scenarios", "2",
             "--report-out", report_path,
         ])
         assert code == 0
         output = capsys.readouterr().out
         assert "golden: checked" in output
-        assert "workers=1: byte-identical" in output
+        assert "byte-identical" in output
         with open(report_path) as handle:
             report = json.load(handle)
         assert report["ok"] is True
-        assert report["golden_results"] == {"1": []}
+        assert report["golden_diff"] == []
 
     def test_mismatched_fixture_fails_and_writes_diff(self, tmp_path, capsys):
         from repro.testkit import load_trace, write_trace
@@ -572,20 +550,19 @@ class TestConformanceCommand:
         write_trace(doctored, fixture)
         diff_path = str(tmp_path / "golden_diff.txt")
         code = main([
-            "conformance", "--scenarios", "1", "--workers", "1",
+            "conformance", "--scenarios", "1",
             "--fixture", str(fixture), "--diff-out", diff_path,
         ])
         assert code == 1
         assert "diffs" in capsys.readouterr().out
         with open(diff_path) as handle:
             diff = handle.read()
-        assert "workers=1:" in diff
         assert "stats.trips_received" in diff
 
     def test_record_writes_fixture(self, tmp_path, capsys):
         fixture = tmp_path / "recorded.json"
         code = main([
-            "conformance", "--scenarios", "1", "--workers", "1",
+            "conformance", "--scenarios", "1",
             "--record", "--fixture", str(fixture),
         ])
         assert code == 0
@@ -593,7 +570,7 @@ class TestConformanceCommand:
         assert fixture.exists()
         # What --record writes is exactly what --check accepts.
         code = main([
-            "conformance", "--scenarios", "1", "--workers", "1",
+            "conformance", "--scenarios", "1",
             "--check", "--fixture", str(fixture),
         ])
         assert code == 0

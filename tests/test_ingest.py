@@ -1,9 +1,8 @@
-"""Tests for the parallel sharded ingest engine.
+"""Tests for the prepare/apply split of trip ingest.
 
-The contract under test: ``ingest_many`` with N>1 workers produces
-bit-identical reports, ``ServerStats`` and traffic-map output to the
-serial path, and the workers' telemetry merges back into the parent
-registry so counter totals match a serial run too.
+The contract under test: the pure ``prepare_trip`` half followed by the
+single-writer ``apply_prepared`` half equals ``receive_trip``, and
+``ingest_many`` equals per-upload ingest, duplicates included.
 """
 
 import dataclasses
@@ -12,11 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import BackendServer, IngestEngine, PreparedTrip
-from repro.obs import MetricsRegistry
+from repro.core import BackendServer, PreparedTrip
 from repro.phone import record_participant_trips
-from repro.phone.cellular import CellularSample
-from repro.phone.trip_recorder import TripUpload
 from repro.sim.bus import simulate_bus_trip
 from repro.util.units import parse_hhmm
 
@@ -98,144 +94,19 @@ class TestPrepareApplySplit:
         assert server.stats.samples_duplicate == len(upload.samples)
 
 
-class TestIngestEngine:
-    def test_prepare_preserves_order_across_shards(
-        self, small_city, database, config, batch
-    ):
-        serial = make_server(small_city, database, config)
-        expected = [serial.prepare_upload(u) for u in batch]
-        for shard_size in (1, 3, None):
-            with IngestEngine.for_server(
-                serial, workers=2, shard_size=shard_size
-            ) as engine:
-                prepared = engine.prepare(batch)
-            assert [p.trip_key for p in prepared] == [
-                u.trip_key for u in batch
-            ]
-            for got, want in zip(prepared, expected):
-                assert got.accepted == want.accepted
-                assert got.discarded == want.discarded
-                assert [len(c) for c in got.clusters] == [
-                    len(c) for c in want.clusters
-                ]
-                if want.mapped is None:
-                    assert got.mapped is None
-                else:
-                    assert (
-                        got.mapped.station_sequence()
-                        == want.mapped.station_sequence()
-                    )
-
-    def test_empty_batch_needs_no_pool(self, small_city, database, config):
-        server = make_server(small_city, database, config)
-        engine = IngestEngine.for_server(server, workers=2)
-        assert engine.prepare([]) == []
-        assert engine._pool is None      # never spawned
-        engine.close()
-
-    def test_validates_arguments(self, small_city, database, config):
-        server = make_server(small_city, database, config)
-        with pytest.raises(ValueError):
-            IngestEngine.for_server(server, workers=0)
-        with pytest.raises(ValueError):
-            IngestEngine.for_server(server, workers=2, shard_size=0)
-
-
-class TestParallelParity:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_ingest_many_bit_identical_to_serial(
-        self, small_city, database, config, batch, workers
-    ):
-        serial = make_server(small_city, database, config)
-        parallel = make_server(small_city, database, config)
-        expected = serial.ingest_many(batch)
-        got = parallel.ingest_many(batch, workers=workers)
-        assert [report_key(r) for r in got] == [
-            report_key(r) for r in expected
-        ]
-        assert parallel.stats.as_dict() == serial.stats.as_dict()
-        assert map_state(parallel) == map_state(serial)
-
-    def test_duplicates_filtered_before_dispatch(
+class TestIngestMany:
+    def test_batch_equals_per_upload_with_duplicates(
         self, small_city, database, config, batch
     ):
         doped = list(batch) + [batch[0], batch[-1]]
-        serial = make_server(small_city, database, config)
-        parallel = make_server(small_city, database, config)
-        expected = serial.ingest_many(doped)
-        got = parallel.ingest_many(doped, workers=2)
+        one_by_one = make_server(small_city, database, config)
+        batched = make_server(small_city, database, config)
+        ordered = sorted(doped, key=lambda u: u.start_s)
+        expected = [one_by_one.receive_trip(u) for u in ordered]
+        got = batched.ingest_many(doped)
         assert [report_key(r) for r in got] == [
             report_key(r) for r in expected
         ]
-        assert parallel.stats.trips_duplicate == 2
-        assert parallel.stats.as_dict() == serial.stats.as_dict()
-
-    def test_worker_metrics_merge_back(
-        self, small_city, database, config, batch
-    ):
-        serial_reg = MetricsRegistry()
-        parallel_reg = MetricsRegistry()
-        serial = make_server(small_city, database, config, registry=serial_reg)
-        parallel = make_server(
-            small_city, database, config, registry=parallel_reg
-        )
-        serial.ingest_many(batch)
-        parallel.ingest_many(batch, workers=2)
-        a, b = serial_reg.as_dict(), parallel_reg.as_dict()
-        for name in (
-            "matcher_samples_total", "matcher_samples_accepted",
-            "matcher_pairs_scored", "clustering_samples_total",
-            "clustering_clusters_total",
-        ):
-            assert b["counters"][name] == a["counters"][name], name
-        assert (
-            b["histograms"]["matcher_candidates_per_sample"]
-            == a["histograms"]["matcher_candidates_per_sample"]
-        )
-        assert (
-            b["labeled"]["matcher_stop_matches_total"]["children"]
-            == a["labeled"]["matcher_stop_matches_total"]["children"]
-        )
-        # Engine-side telemetry only exists on the parallel run.
-        assert b["counters"]["ingest_batches_total"] == 1
-        assert b["counters"]["ingest_trips_total"] == len(batch)
-        assert b["counters"]["ingest_shards_total"] >= 1
-        assert b["gauges"]["ingest_workers"] == 2
-        assert "ingest_batches_total" not in a["counters"]
-
-    def test_explicit_engine_reused_across_batches(
-        self, small_city, database, config, batch
-    ):
-        serial = make_server(small_city, database, config)
-        parallel = make_server(small_city, database, config)
-        half = len(batch) // 2
-        serial.ingest_many(batch[:half])
-        serial.ingest_many(batch[half:])
-        with IngestEngine.for_server(parallel, workers=2) as engine:
-            parallel.ingest_many(batch[:half], engine=engine)
-            parallel.ingest_many(batch[half:], engine=engine)
-        assert parallel.stats.as_dict() == serial.stats.as_dict()
-        assert map_state(parallel) == map_state(serial)
-
-
-class TestWorldWorkers:
-    @pytest.mark.slow
-    def test_world_run_parity(self, small_city, config):
-        from repro.sim.world import World
-
-        def run(workers):
-            world = World(city=small_city, config=config, seed=11)
-            result = world.run(
-                parse_hhmm("08:00"), parse_hhmm("08:45"),
-                route_ids=["179-0", "199-0"], with_official_feed=False,
-                workers=workers,
-            )
-            return (
-                world.server.stats.as_dict(),
-                map_state(world.server),
-                [report_key(r) for r in result.reports],
-            )
-
-        serial = run(1)
-        parallel = run(2)
-        assert parallel == serial
+        assert batched.stats.trips_duplicate == 2
+        assert batched.stats.as_dict() == one_by_one.stats.as_dict()
+        assert map_state(batched) == map_state(one_by_one)

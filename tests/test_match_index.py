@@ -3,19 +3,14 @@
 Exactness of the pruned/memoized matcher is proven elsewhere (the
 differential oracles, the property suite, the golden trace); this file
 pins the *mechanics* — what the index returns, how the LRU rotates and
-evicts, which metrics move on hits/misses/invalidations, and that each
-ingest worker owns a private memo whose physical counters merge back
-without disturbing the logical ``matcher_*`` accounting.
+evicts, and which metrics move on hits/misses/invalidations without
+disturbing the logical ``matcher_*`` accounting.
 """
-
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.config import MatchingConfig, SystemConfig
-from repro.core import BackendServer, IngestEngine, SampleMatcher
+from repro.core import BackendServer, SampleMatcher
 from repro.core.match_index import (
     CachedMatch,
     MatchCache,
@@ -24,6 +19,7 @@ from repro.core.match_index import (
 )
 from repro.core.matching import MatchResult
 from repro.obs.metrics import MetricsRegistry
+from repro.testkit import OracleMatcher
 
 FINGERPRINTS = {
     1: (10, 11, 12, 13),
@@ -201,11 +197,12 @@ class TestMatcherCacheIntegration:
         assert len(matcher.cache) == 1       # only the post-rebuild verdict
 
     def test_disabled_cache_and_full_scan_still_exact(self):
-        plain = self._matcher(indexed=False, cache_size=0)
+        plain = self._matcher(cache_size=0)
         tuned = self._matcher()
+        full_scan = OracleMatcher(FINGERPRINTS)
         for sample in [self.SAMPLE, (99,), (), (-5, 30), (12, 13, 14)]:
             assert tuned.match(sample) == plain.match(sample)
-        assert plain.index is None
+            assert plain.match(sample) == full_scan.match(sample)
         assert not plain.cache.enabled
 
     def test_server_rebuild_fingerprints(self, small_city, database, config):
@@ -223,106 +220,3 @@ class TestMatcherCacheIntegration:
         assert server.registry.as_dict()["gauges"][
             "fingerprint_db_stops"
         ] == len(database)
-
-
-class TestPerWorkerCacheIsolation:
-    def test_parallel_run_merges_private_caches(
-        self, small_city, database, config
-    ):
-        """Two workers each build a private index + memo; results match
-        the serial run bit-for-bit and the merged physical counters see
-        every worker's cache traffic."""
-        import itertools
-
-        import numpy as np
-
-        from repro.phone import CellularSampler, record_participant_trips
-        from repro.radio import (
-            CellularScanner,
-            PropagationModel,
-            towers_for_city,
-        )
-        from repro.sim import (
-            TrafficField,
-            default_hotspots_for,
-            simulate_bus_trip,
-        )
-        from repro.util.units import parse_hhmm
-
-        spec = small_city.spec
-        traffic = TrafficField(
-            small_city.network,
-            hotspots=default_hotspots_for(spec.width_m, spec.height_m),
-            seed=9,
-        )
-        towers = towers_for_city(small_city, seed=5)
-        scanner = CellularScanner(towers, PropagationModel(config.radio, seed=5),
-                                  config.radio)
-        sampler = CellularSampler(scanner)
-        rider_ids = itertools.count()
-        uploads = []
-        for k, route_id in enumerate(("179-0", "199-0")):
-            route = small_city.route_network.route(route_id)
-            trace = simulate_bus_trip(
-                route, parse_hhmm("08:10") + 120.0 * k, traffic, rider_ids,
-                rng=np.random.default_rng(21 + k),
-            )
-            uploads.extend(record_participant_trips(
-                trace, small_city.registry, sampler, config,
-                rng=np.random.default_rng(31 + k),
-            ))
-        # Duplicate the batch so cross-shard repeats exist: a worker's
-        # memo must serve them without leaking across processes.
-        uploads = uploads + uploads
-
-        def run(workers):
-            registry = MetricsRegistry()
-            engine = IngestEngine(
-                database.as_dict(), small_city.route_network, config,
-                workers=workers, registry=registry, shard_size=2,
-            )
-            with engine:
-                prepared = engine.prepare(uploads, keep_matches=True)
-            return prepared, registry.as_dict()
-
-        serial_prepared, serial_metrics = run(1)
-        parallel_prepared, parallel_metrics = run(2)
-
-        def verdicts(prepared):
-            return [
-                (m.station_id, m.score, m.common_ids)
-                for trip in prepared for m in trip.matches
-            ]
-
-        assert verdicts(parallel_prepared) == verdicts(serial_prepared)
-        # Logical accounting is worker-invariant…
-        for name in ("matcher_samples_total", "matcher_pairs_scored",
-                     "matcher_samples_accepted"):
-            assert (
-                parallel_metrics["counters"][name]
-                == serial_metrics["counters"][name]
-            )
-        # …while the physical cache counters merged back from both
-        # workers account for every lookup (hits + misses = samples).
-        for metrics in (serial_metrics, parallel_metrics):
-            counters = metrics["counters"]
-            assert (
-                counters["match_cache_hits_total"]
-                + counters["match_cache_misses_total"]
-                == counters["matcher_samples_total"]
-            )
-            assert counters["match_cache_hits_total"] > 0
-
-
-@pytest.mark.slow
-class TestIngestParitySmoke:
-    def test_script_reports_parity_across_worker_counts(self):
-        """The CI smoke driver: `repro campaign --workers 2` must equal
-        `--workers 1` counter-for-counter with per-worker memos live."""
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "ingest_parity_smoke.py")],
-            capture_output=True, text=True, cwd=str(root),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "parity ok" in proc.stdout

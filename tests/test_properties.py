@@ -11,16 +11,13 @@ from repro.city.geometry import Point, Polyline
 from repro.config import ClusteringConfig, FusionConfig, MatchingConfig
 from repro.core.clustering import MatchedSample, cluster_trip_samples
 from repro.core.fusion import BayesianSpeedFuser
-from repro.core.matching import (
-    SampleMatcher,
-    batch_smith_waterman,
-    smith_waterman,
-)
+from repro.core.matching import SampleMatcher, batch_smith_waterman
 from repro.core.traffic_model import TrafficModel
 from repro.eval.metrics import Cdf
 from repro.phone.cellular import CellularSample
 from repro.core.matching import MatchResult
 from repro.sim.events import Simulator
+from repro.testkit import oracle_smith_waterman as smith_waterman
 
 # -- strategies ----------------------------------------------------------------
 
@@ -187,7 +184,7 @@ class TestIndexedMatcherOracleEquivalence:
         replayed = samples + samples
         for gamma in gammas:
             config = MatchingConfig(
-                accept_threshold=float(gamma), indexed=True, cache_size=64
+                accept_threshold=float(gamma), cache_size=64
             )
             matcher = SampleMatcher(fingerprints, config)
             oracle = OracleMatcher(fingerprints, config)
@@ -206,7 +203,7 @@ class TestIndexedMatcherOracleEquivalence:
         """Pruning soundness: any station with a positive Smith-Waterman
         score against the sample shares a cell id, so it is in the pool."""
         fingerprints = {sid: tuple(seq) for sid, seq in db.items()}
-        matcher = SampleMatcher(fingerprints, MatchingConfig(indexed=True))
+        matcher = SampleMatcher(fingerprints, MatchingConfig())
         for sample in samples:
             pool = matcher.candidate_stations(sample)
             for station_id, fingerprint in fingerprints.items():

@@ -12,9 +12,8 @@ a precise durability-critical instant:
   mutates (the write-ahead window).
 
 The resumed run must produce a golden trace **byte-identical** to an
-uninterrupted run of the same campaign — at workers 1 and at workers 2,
-where mid-day recovery also exercises the skip-events fast-forward
-against the parallel prepare path.
+uninterrupted run of the same campaign; mid-day recovery also exercises
+the skip-events fast-forward.
 """
 
 import subprocess
@@ -54,14 +53,10 @@ def _run(args, env_extra=None, check=True):
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    """Golden traces of the uninterrupted campaign, per worker count."""
-    out = tmp_path_factory.mktemp("baseline")
-    traces = {}
-    for workers in (1, 2):
-        path = out / f"workers{workers}.json"
-        _run(["--workers", str(workers), "--golden-out", str(path)])
-        traces[workers] = path.read_bytes()
-    return traces
+    """Golden trace of the uninterrupted campaign."""
+    path = tmp_path_factory.mktemp("baseline") / "baseline.json"
+    _run(["--golden-out", str(path)])
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +75,13 @@ SCENARIOS = [
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("fault,extra", SCENARIOS)
 def test_sigkill_then_resume_is_byte_identical(
-    baseline, scenario_tmp, fault, extra, workers
+    baseline, scenario_tmp, fault, extra
 ):
-    store = scenario_tmp / f"{fault.split(':')[0]}-w{workers}"
-    golden = scenario_tmp / f"{fault.split(':')[0]}-w{workers}.json"
-    flags = ["--workers", str(workers), "--store", str(store), *extra]
+    store = scenario_tmp / fault.split(':')[0]
+    golden = scenario_tmp / f"{fault.split(':')[0]}.json"
+    flags = ["--store", str(store), *extra]
 
     killed = _run(flags, env_extra={"REPRO_FAULT": fault}, check=False)
     assert killed.returncode == -9, (
@@ -97,7 +91,7 @@ def test_sigkill_then_resume_is_byte_identical(
     assert store.exists(), "the WAL must survive the crash"
 
     _run([*flags, "--resume", "--golden-out", str(golden)])
-    assert golden.read_bytes() == baseline[workers], (
+    assert golden.read_bytes() == baseline, (
         "resumed campaign diverged from the uninterrupted run"
     )
 
@@ -107,7 +101,7 @@ def test_two_crashes_then_resume(baseline, scenario_tmp):
     """Crash during the first run AND during the first resume."""
     store = scenario_tmp / "double-crash"
     golden = scenario_tmp / "double-crash.json"
-    flags = ["--workers", "1", "--store", str(store)]
+    flags = ["--store", str(store)]
 
     first = _run(flags, env_extra={"REPRO_FAULT": "wal_append:30"},
                  check=False)
@@ -117,7 +111,7 @@ def test_two_crashes_then_resume(baseline, scenario_tmp):
     assert second.returncode == -9
 
     _run([*flags, "--resume", "--golden-out", str(golden)])
-    assert golden.read_bytes() == baseline[1]
+    assert golden.read_bytes() == baseline
 
 
 @pytest.mark.slow
@@ -126,10 +120,10 @@ def test_resume_of_finished_campaign_is_stable(baseline, scenario_tmp):
     nothing, and renders the identical trace."""
     store = scenario_tmp / "finished"
     golden = scenario_tmp / "finished.json"
-    flags = ["--workers", "1", "--store", str(store)]
+    flags = ["--store", str(store)]
     _run(flags)
     _run([*flags, "--resume", "--golden-out", str(golden)])
-    assert golden.read_bytes() == baseline[1]
+    assert golden.read_bytes() == baseline
 
 
 @pytest.mark.slow
@@ -137,12 +131,12 @@ def test_sqlite_backend_sigkill_resume(baseline, scenario_tmp):
     """The crash harness holds for the sqlite backend too."""
     store = scenario_tmp / "state.db"
     golden = scenario_tmp / "sqlite.json"
-    flags = ["--workers", "1", "--store", str(store)]
+    flags = ["--store", str(store)]
     killed = _run(flags, env_extra={"REPRO_FAULT": "wal_append:30"},
                   check=False)
     assert killed.returncode == -9
     _run([*flags, "--resume", "--golden-out", str(golden)])
-    assert golden.read_bytes() == baseline[1]
+    assert golden.read_bytes() == baseline
 
 
 def test_resume_without_store_exits_with_usage_error():

@@ -18,7 +18,7 @@ from repro.core.clustering import (
     SampleCluster,
     cluster_trip_samples,
 )
-from repro.core.matching import MatchResult, SampleMatcher, smith_waterman
+from repro.core.matching import MatchResult, SampleMatcher, batch_smith_waterman
 from repro.core.trip_mapping import DROP_EPSILON, map_trip
 from repro.phone.cellular import CellularSample
 from repro.phone.trip_recorder import TripUpload
@@ -68,9 +68,9 @@ class TestOracleSmithWaterman:
         for _ in range(50):
             a = [int(x) for x in rng.integers(-5, 15, size=rng.integers(0, 9))]
             b = [int(x) for x in rng.integers(-5, 15, size=rng.integers(0, 9))]
-            assert oracle_smith_waterman(a, b, config) == smith_waterman(
-                a, b, config
-            )
+            assert oracle_smith_waterman(a, b, config) == batch_smith_waterman(
+                [a], [b], config
+            )[0]
 
 
 class TestOracleMatcher:
@@ -223,23 +223,6 @@ class TestDifferentialRunner:
         assert failures
         assert any("matching" in failure for failure in failures)
 
-    def test_full_scan_mode_also_clean(self):
-        assert run_differential(scenarios=5, seed=1, matcher="full") == []
-
-    def test_unknown_matcher_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_differential(scenarios=1, matcher="sloppy")
-
-    def test_indexed_and_full_reports_identical(self):
-        """Both matcher modes are exact, so the conformance verdict —
-        the whole serialized report — must not depend on the mode."""
-        from repro.testkit.conformance import run_conformance
-
-        indexed = run_conformance(scenarios=4, check=False, matcher="indexed")
-        full = run_conformance(scenarios=4, check=False, matcher="full")
-        assert indexed.ok and full.ok
-        assert indexed.as_dict() == full.as_dict()
-
 
 class TestKeepMatchesHook:
     def test_matches_recorded_only_when_asked(self, small_city, database, config):
@@ -298,14 +281,13 @@ class TestGoldenTraceMachinery:
 
     def test_missing_fixture_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="--record"):
-            check_golden(tmp_path / "nope.json", worker_counts=(1,))
+            check_golden(tmp_path / "nope.json")
 
 
 class TestGoldenEndToEnd:
     def test_committed_fixture_matches_serial_run(self):
         """The committed golden trace must replay byte-for-byte (serial)."""
-        results = check_golden(worker_counts=(1,))
-        assert results == {1: []}
+        assert check_golden() == []
 
     def test_fixture_is_canonically_rendered(self):
         path = default_trace_path()
@@ -313,15 +295,9 @@ class TestGoldenEndToEnd:
         assert render_trace(trace) == path.read_text(encoding="utf-8")
 
     @pytest.mark.slow
-    def test_parallel_runs_byte_identical(self):
-        results = check_golden(worker_counts=(2, 4))
-        assert results == {2: [], 4: []}
-
-    @pytest.mark.slow
     def test_record_golden_round_trips(self, tmp_path):
         city = build_golden_city()
-        trace = trace_from_run(run_golden(workers=1, city=city))
+        trace = trace_from_run(run_golden(city=city))
         fixture = tmp_path / "golden.json"
-        path, failures = record_golden(fixture, worker_counts=(1,))
-        assert failures == []
+        path = record_golden(fixture)
         assert render_trace(load_trace(path)) == render_trace(trace)

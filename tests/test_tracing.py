@@ -406,11 +406,11 @@ class TestChromeExport:
         format_trace_summary(summary)    # must not raise
 
 
-class TestEngineIntegration:
-    def test_parallel_trace_stitches_and_results_match(
+class TestServerIntegration:
+    def test_traced_ingest_is_valid_and_results_match(
         self, small_city, database, config, batch
     ):
-        from repro.core import BackendServer, IngestEngine
+        from repro.core import BackendServer
         from repro.obs import MetricsRegistry
 
         def server_with(tracer=None):
@@ -419,52 +419,19 @@ class TestEngineIntegration:
                 config, registry=MetricsRegistry(), tracer=tracer,
             )
 
-        serial = server_with()
-        expected = serial.ingest_many(batch)
-
+        plain = server_with()
+        expected = plain.ingest_many(batch)
         tracer = Tracer(SamplingPolicy())
         traced = server_with(tracer=tracer)
-        with IngestEngine.for_server(traced, workers=2) as engine:
-            reports = traced.ingest_many(batch, engine=engine)
+        reports = traced.ingest_many(batch)
 
         assert [r.trip_key for r in reports] == \
             [r.trip_key for r in expected]
-        assert traced.stats.as_dict() == serial.stats.as_dict()
-
+        assert traced.stats.as_dict() == plain.stats.as_dict()
         doc = tracer.chrome_trace()
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"fingerprint_broadcast", "shard_serialize",
-                "shard_deserialize", "pool_queue_wait", "pool_result_wait",
-                "result_merge", "prepare_trip", "matching"} <= names
-        workers = {e["args"].get("worker")
-                   for e in doc["traceEvents"]
-                   if e["ph"] == "X" and e["args"].get("worker")}
-        assert workers          # worker spans carry their process label
-        # Worker spans joined the coordinator's trace.
-        trace_ids = {e["args"]["trace_id"]
-                     for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert trace_ids == {tracer.trace_id}
-
-    def test_null_tracer_parallel_path_untouched(
-        self, small_city, database, config, batch
-    ):
-        from repro.core import BackendServer, IngestEngine
-        from repro.obs import MetricsRegistry
-
-        server = BackendServer(
-            small_city.network, small_city.route_network, database,
-            config, registry=MetricsRegistry(),
-        )
-        with IngestEngine.for_server(server, workers=2) as engine:
-            reports = server.ingest_many(batch, engine=engine)
-        assert len(reports) == len(batch)
-        assert server.tracer.records() == []
-        # Worker stage aggregates still reach the parent histograms.
-        family = server.registry.as_dict()["labeled"][
-            "ingest_stage_seconds"
-        ]
-        assert any("matching" in child for child in family["children"])
+        assert {"receive_trip", "matching", "clustering"} <= names
 
 
 class TestTraceCli:

@@ -10,6 +10,7 @@ from repro.core.traffic_map import TrafficMapEstimator
 from repro.phone.cellular import CellularSample
 from repro.phone.trip_recorder import TripUpload
 from repro.wire import (
+    CAMPAIGN_HORIZON_S,
     database_from_dict,
     database_to_dict,
     dump_trips,
@@ -86,6 +87,34 @@ class TestTripCodec:
         with pytest.raises(ValueError):
             trip_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [-1e18, True, False, "12", None, [1.0], CAMPAIGN_HORIZON_S * 2,
+         10 ** 400, -(10 ** 400)],
+    )
+    def test_rejects_bad_sample_time(self, bad):
+        """Only a JSON number inside the campaign horizon is a time:
+        ``true`` is not 1 s, ``"12"`` is not 12 s, -1e18 is not a time."""
+        payload = trip_to_dict(make_upload())
+        payload["samples"][0]["t"] = bad
+        with pytest.raises(ValueError):
+            trip_from_dict(payload)
+
+    def test_rejects_each_bad_time_of_a_hostile_upload(self):
+        for bad in (-1e18, True, "12"):
+            payload = {"v": 1, "trip": "x", "samples": [
+                {"t": 5.0, "cells": [5]}, {"t": bad, "cells": [5, 9]},
+            ]}
+            with pytest.raises(ValueError):
+                trip_from_dict(payload)
+
+    def test_accepts_int_times_and_the_horizon_edges(self):
+        payload = trip_to_dict(make_upload())
+        payload["samples"][0]["t"] = 0
+        payload["samples"][1]["t"] = CAMPAIGN_HORIZON_S
+        upload = trip_from_dict(payload)
+        assert [s.time_s for s in upload.samples] == [0.0, CAMPAIGN_HORIZON_S]
+
     def test_jsonl_round_trip(self):
         uploads = [make_upload("a"), make_upload("b")]
         buffer = io.StringIO()
@@ -105,6 +134,24 @@ class TestTripCodec:
         buffer = io.StringIO("this is not json\n")
         with pytest.raises(ValueError, match="line 1"):
             load_trips(buffer)
+
+
+class TestSampleTimeInvariant:
+    @pytest.mark.parametrize(
+        "time_s", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_sample_rejects_non_finite_time(self, time_s):
+        with pytest.raises(ValueError):
+            CellularSample(time_s=time_s, tower_ids=(5,))
+
+    def test_upload_built_in_code_cannot_carry_nan(self):
+        """NaN compares false both ways, so the time-order check alone
+        let it through; the sample constructor now stops it."""
+        with pytest.raises(ValueError):
+            TripUpload(trip_key="t", samples=(
+                CellularSample(time_s=10.0, tower_ids=(5,)),
+                CellularSample(time_s=float("nan"), tower_ids=(5,)),
+            ))
 
 
 class TestDatabaseCodec:
