@@ -8,7 +8,7 @@ motivation for avoiding GPS).
 
 import numpy as np
 
-from conftest import report
+from conftest import BENCH_SEED, report
 from repro.eval.metrics import Cdf
 from repro.eval.reporting import render_table
 from repro.radio import GpsCondition, GpsErrorModel
@@ -21,7 +21,9 @@ PAPER = {
 }
 
 
-def run_experiment(rng):
+def run_experiment(seed):
+    # A fresh generator per call: every benchmark round draws the same fixes.
+    rng = np.random.default_rng(seed)
     model = GpsErrorModel()
     cdfs = {
         condition: Cdf.of(model.sample_errors(condition, N_FIXES, rng))
@@ -30,8 +32,8 @@ def run_experiment(rng):
     return cdfs
 
 
-def test_fig01_gps_error(benchmark, bench_rng):
-    cdfs = benchmark(run_experiment, bench_rng)
+def test_fig01_gps_error(benchmark):
+    cdfs = benchmark(run_experiment, BENCH_SEED)
 
     rows = []
     for condition, cdf in cdfs.items():

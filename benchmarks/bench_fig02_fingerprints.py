@@ -21,7 +21,9 @@ from repro.eval.reporting import render_table
 REVISITS_PER_STOP = 4
 
 
-def self_similarity_scores(world, rng):
+def self_similarity_scores(world, seed):
+    # A fresh generator per call: every benchmark round scans the same noise.
+    rng = np.random.default_rng(seed)
     pairs_up, pairs_db = [], []
     for station in world.city.registry.stations:
         fingerprint = world.database.fingerprint(station.station_id)
@@ -69,8 +71,7 @@ def platform_cross_scores(world, rng):
 
 
 def test_fig02_fingerprint_similarity(benchmark, paper_world):
-    rng = np.random.default_rng(BENCH_SEED + 1)
-    self_scores = benchmark(self_similarity_scores, paper_world, rng)
+    self_scores = benchmark(self_similarity_scores, paper_world, BENCH_SEED + 1)
     effective = cross_similarity_scores(paper_world)
     overall = platform_cross_scores(paper_world, np.random.default_rng(BENCH_SEED + 2))
 

@@ -21,13 +21,14 @@ PAPER_MW = {
 }
 
 
-def run_sessions(model, rng):
-    return model.table_iii(rng=rng, sessions=10)
+def run_sessions(model, seed):
+    # A fresh generator per call: every benchmark round draws the same sessions.
+    return model.table_iii(rng=np.random.default_rng(seed), sessions=10)
 
 
-def test_table3_power(benchmark, bench_rng):
+def test_table3_power(benchmark):
     model = PowerModel()
-    table = benchmark(run_sessions, model, bench_rng)
+    table = benchmark(run_sessions, model, BENCH_SEED)
 
     rows = []
     for label, _ in TABLE_III_SETTINGS:

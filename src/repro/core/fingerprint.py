@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.city.stops import StopRegistry
 from repro.config import MatchingConfig
-from repro.core.matching import batch_smith_waterman
+from repro.core.matching import batch_smith_waterman, cell_id_array
 from repro.radio.scanner import CellularScanner
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -67,9 +67,14 @@ class FingerprintDatabase:
     # -- building ---------------------------------------------------------------
 
     def set_fingerprint(self, station_id: int, tower_ids: Sequence[int]) -> None:
-        """Store (or overwrite) one station's fingerprint."""
+        """Store (or overwrite) one station's fingerprint.
+
+        Raises ``ValueError`` on an empty or repeating sequence, or on an
+        id outside int64, which the matcher could not hold.
+        """
         if not tower_ids:
             raise ValueError("a fingerprint needs at least one tower id")
+        cell_id_array(tower_ids)
         if len(set(tower_ids)) != len(tower_ids):
             raise ValueError("fingerprint tower ids must be unique")
         self._fingerprints[station_id] = tuple(tower_ids)

@@ -123,6 +123,14 @@ def _sw_kernel(
     return table.reshape(-1, batch).max(axis=0)
 
 
+def cell_id_array(ids: Sequence[int]) -> np.ndarray:
+    """``ids`` as an int64 array; ``ValueError`` if one lies outside int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("cell ids must lie inside int64") from exc
+
+
 def batch_smith_waterman(
     uploads: Sequence[Sequence[int]],
     databases: Sequence[Sequence[int]],
@@ -132,10 +140,10 @@ def batch_smith_waterman(
 
     Identical results, bit for bit, to the scalar recurrence pair by
     pair (:func:`repro.testkit.oracle_smith_waterman`), computed by
-    :func:`_sw_kernel`.  Sequences are padded with two distinct
-    sentinels derived *below* the smallest observed id, so no tower id
-    an upstream decoder emits (including negative unknown-cell markers)
-    can ever collide with padding.
+    :func:`_sw_kernel`.  Scores depend only on which ids are equal, so
+    every id is replaced by its rank among the distinct ids, and the
+    sentinels padding queries (-1) and references (-2) can never equal
+    one, whatever ids come in.  Ids outside int64 raise ``ValueError``.
 
     >>> cfg = MatchingConfig()
     >>> round(float(batch_smith_waterman([[1, 2, 3, 4, 5]], [[1, 7, 3, 5]], cfg)[0]), 1)
@@ -147,21 +155,21 @@ def batch_smith_waterman(
     batch = len(uploads)
     if batch == 0:
         return np.zeros(0)
-    n_max = max((len(u) for u in uploads), default=0)
-    m_max = max((len(d) for d in databases), default=0)
+    query_lengths = np.array([len(u) for u in uploads])
+    ref_lengths = np.array([len(d) for d in databases])
+    n_max, m_max = int(query_lengths.max()), int(ref_lengths.max())
     if n_max == 0 or m_max == 0:
         return np.zeros(batch)
 
-    lowest = min(
-        min((min(u) for u in uploads if len(u)), default=0),
-        min((min(d) for d in databases if len(d)), default=0),
+    ids = cell_id_array(
+        [t for u in uploads for t in u] + [t for d in databases for t in d]
     )
-    query_pad, ref_pad = lowest - 1, lowest - 2
-    query = np.full((batch, n_max), query_pad, dtype=np.int64)
-    ref = np.full((batch, m_max), ref_pad, dtype=np.int64)
-    for idx, (u, d) in enumerate(zip(uploads, databases)):
-        query[idx, : len(u)] = u
-        ref[idx, : len(d)] = d
+    ranks = np.unique(ids, return_inverse=True)[1].reshape(-1)
+    split = int(query_lengths.sum())
+    query = np.full((batch, n_max), -1, dtype=np.int64)
+    query[np.arange(n_max) < query_lengths[:, None]] = ranks[:split]
+    ref = np.full((batch, m_max), -2, dtype=np.int64)
+    ref[np.arange(m_max) < ref_lengths[:, None]] = ranks[split:]
     return _sw_kernel(query, ref, config)
 
 

@@ -26,6 +26,7 @@ draws equal ``field_rng(seed, "shadow", tower_id, ix, iy)``.
 from __future__ import annotations
 
 import math
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from repro.city.geometry import Point
 from repro.config import RadioConfig
 from repro.radio.towers import CellTower
-from repro.util.rng import SeedLike, ensure_rng, field_normals
+from repro.util.rng import SeedLike, ensure_rng, keyed_normals, stable_hash_prefix
 
 
 class PropagationModel:
@@ -42,6 +43,9 @@ class PropagationModel:
     Towers are addressed by *column*: :meth:`columns` gives each tower id
     a fixed slot.  The shadow lattice is memoised per lattice point, one
     float64 per column, NaN until that tower's corner value is drawn.
+    Each column also keeps the running checksums of its key prefix
+    ``"shadow", tower_id``, so hashing a corner's key only reads the
+    ``ix, iy`` suffix.
     """
 
     def __init__(self, config: Optional[RadioConfig] = None, seed: int = 0):
@@ -49,6 +53,7 @@ class PropagationModel:
         self._seed = int(seed)
         self._column: Dict[int, int] = {}
         self._tower_ids: List[int] = []
+        self._key_prefix: List[Tuple[int, int]] = []
         self._lattice: Dict[Tuple[int, int], np.ndarray] = {}
 
     def columns(self, tower_ids: Sequence[int]) -> np.ndarray:
@@ -57,6 +62,7 @@ class PropagationModel:
             if tower_id not in self._column:
                 self._column[tower_id] = len(self._tower_ids)
                 self._tower_ids.append(tower_id)
+                self._key_prefix.append(stable_hash_prefix("shadow", tower_id))
         return np.array([self._column[t] for t in tower_ids], dtype=np.intp)
 
     # -- mean field ---------------------------------------------------------
@@ -137,12 +143,10 @@ class PropagationModel:
             values.append(value)
             holes.append(np.flatnonzero(np.isnan(value)))
         if any(len(h) for h in holes):
-            keys = [
-                ("shadow", self._tower_ids[column], ix, iy)
-                for (ix, iy), hole in zip(points, holes)
-                for column in columns[hole].tolist()
-            ]
-            drawn = field_normals(self._seed, keys)
+            drawn = keyed_normals(
+                self._seed,
+                self._key_hashes(points, [columns[hole] for hole in holes]),
+            )
             start = 0
             for row, value, hole in zip(rows, values, holes):
                 batch = drawn[start : start + len(hole)]
@@ -150,6 +154,24 @@ class PropagationModel:
                 row[columns[hole]] = batch
                 start += len(hole)
         return values
+
+    def _key_hashes(
+        self, points: Sequence[Tuple[int, int]], columns: Sequence[np.ndarray]
+    ) -> List[int]:
+        """Shadow-key hashes of ``columns[k]`` at ``points[k]``, in order.
+
+        Each equals ``stable_hash("shadow", tower_id, ix, iy)``: the
+        column's checksums of ``"shadow", tower_id`` are resumed over the
+        point's ``ix, iy`` text, which every column at a point shares.
+        """
+        prefix = self._key_prefix
+        crc32, adler32 = zlib.crc32, zlib.adler32
+        return [
+            (adler32(suffix, adler) << 32) | crc32(suffix, crc)
+            for (ix, iy), cols in zip(points, columns)
+            for suffix in (f"{ix}\x1f{iy}".encode("utf-8"),)
+            for crc, adler in map(prefix.__getitem__, cols.tolist())
+        ]
 
     # -- measurements --------------------------------------------------------
 

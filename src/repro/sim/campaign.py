@@ -272,7 +272,7 @@ class Campaign:
                 for phase in phases
             ],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     def _check_meta(
         self, phases: Sequence[CampaignPhase], *, resume: bool

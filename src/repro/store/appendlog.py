@@ -152,7 +152,7 @@ class AppendLogStateStore(StateStore):
         if self._fsync != "never":
             os.fsync(self._f.fileno())
         blob = json.dumps(
-            {"seq": seq, "state": text}, separators=(",", ":")
+            {"seq": seq, "state": text}, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
         self._replace(self._snapshot_path, blob, fault="snapshot")
 
@@ -183,7 +183,9 @@ class AppendLogStateStore(StateStore):
     def _set_meta(self, key: str, value: str) -> None:
         meta = self._read_meta()
         meta[key] = value
-        blob = json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")
+        blob = json.dumps(
+            meta, sort_keys=True, indent=1, allow_nan=False
+        ).encode("utf-8")
         self._replace(self._meta_path, blob, fault=None)
 
     # -- lifecycle -----------------------------------------------------------

@@ -60,7 +60,9 @@ class StateStore:
     ``_``-prefixed hooks over ``(seq, canonical-text)`` pairs.  The WAL
     is strictly monotone: ``append_wal`` rejects any record whose
     ``seq`` is not greater than :meth:`last_seq`, which is what makes
-    replay idempotence checkable at the storage layer too.
+    replay idempotence checkable at the storage layer too.  The codec is
+    strict JSON: a NaN or infinity in a record or snapshot raises
+    ``ValueError`` before a byte reaches the medium.
     """
 
     backend = "abstract"
@@ -123,7 +125,9 @@ class StateStore:
             raise ValueError(
                 f"WAL seq must increase: got {seq}, last is {last}"
             )
-        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(
+            record, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
         if self._observing:
             with self._tracer.span("store_wal_append"):
                 t0 = time.perf_counter()
@@ -148,7 +152,9 @@ class StateStore:
 
     def write_snapshot(self, seq: int, payload: Dict) -> None:
         """Persist ``payload`` as the state at watermark ``seq``."""
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
         if self._observing:
             with self._tracer.span("store_snapshot"):
                 t0 = time.perf_counter()

@@ -19,6 +19,9 @@ rewritten for speed.  This package is their standing referee:
 * :mod:`repro.testkit.conformance` — orchestrates differential runs and
   golden checks; backs the ``repro conformance`` CLI verb and CI's
   conformance smoke job.
+* :mod:`repro.testkit.ziggurat` — re-derives the normal-ziggurat tables
+  the batched shadow-lattice draw copies from numpy, by probing
+  ``Generator.standard_normal`` with crafted PCG64 states.
 """
 
 from repro.testkit.conformance import (

@@ -303,7 +303,9 @@ def record_trace(city=None) -> Dict:
 def render_trace(trace: Dict) -> str:
     """The one true byte representation of a trace."""
     return (
-        json.dumps(trace, sort_keys=True, indent=2, separators=(",", ": "))
+        json.dumps(
+            trace, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False
+        )
         + "\n"
     )
 

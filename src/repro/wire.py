@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 from repro.city.gtfs import planar_to_wgs84
 from repro.core.fingerprint import FingerprintDatabase
@@ -29,6 +29,7 @@ _SNAPSHOT_VERSION = 1
 #: first day, with a year of campaign days.  Sample times outside
 #: ``[0, CAMPAIGN_HORIZON_S]`` are rejected at decode.
 CAMPAIGN_HORIZON_S = 366 * 86_400.0
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 # -- trip uploads (phone → server) -------------------------------------------
@@ -63,7 +64,7 @@ def trip_from_dict(payload: Dict[str, Any]) -> TripUpload:
     for entry in payload["samples"]:
         try:
             time_s = _sample_time(entry["t"])
-            cells = tuple(_cell_id(c) for c in entry["cells"])
+            cells = _cell_ids(entry["cells"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sample entry {entry!r}") from exc
         except ValueError as exc:
@@ -87,17 +88,26 @@ def _sample_time(value: Any) -> float:
     return float(value)
 
 
-def _cell_id(value: Any) -> int:
-    # JSON ``true`` decodes to a bool, which ``int()`` would take as 1.
-    if isinstance(value, bool):
-        raise ValueError(f"cell id must be an integer, not {value!r}")
-    return int(value)
+def _cell_ids(values: Any) -> Tuple[int, ...]:
+    # JSON ``true`` decodes to a bool, and ``int()`` would truncate 3.7
+    # and parse "12": only JSON integers are cell ids, and the matcher
+    # holds ids as int64.  Checked per list, not per id: a benchmark
+    # stream decodes ~100k ids.
+    cells = tuple(values)
+    if not set(map(type, cells)) <= {int}:
+        bad = next(c for c in cells if type(c) is not int)
+        raise ValueError(f"cell id must be an integer, not {bad!r}")
+    if cells and not (_INT64_MIN <= min(cells) and max(cells) <= _INT64_MAX):
+        raise ValueError(f"cell id outside int64 in {list(cells)!r}")
+    return cells
 
 
 def dump_trips(uploads: List[TripUpload], stream: IO[str]) -> None:
     """Write uploads as JSON Lines (one trip per line)."""
     for upload in uploads:
-        stream.write(json.dumps(trip_to_dict(upload), separators=(",", ":")))
+        stream.write(
+            json.dumps(trip_to_dict(upload), separators=(",", ":"), allow_nan=False)
+        )
         stream.write("\n")
 
 
@@ -141,7 +151,7 @@ def database_from_dict(payload: Dict[str, Any]) -> FingerprintDatabase:
     for station_key, towers in stops.items():
         try:
             station_id = int(station_key)
-            tower_ids = [int(t) for t in towers]
+            tower_ids = _cell_ids(towers)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed database entry {station_key!r}") from exc
         database.set_fingerprint(station_id, tower_ids)

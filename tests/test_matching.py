@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import MatchingConfig
+from repro.core.fingerprint import FingerprintDatabase
 from repro.core.matching import (
     SampleMatcher,
     batch_smith_waterman,
@@ -67,8 +68,8 @@ class TestBatchSmithWaterman:
         The old implementation padded with the constants −1/−2, so an
         upstream decoder emitting negative tower ids (e.g. unknown-cell
         markers) could collide with the padding and score phantom
-        matches.  Sentinels are now derived below the smallest observed
-        id, so batch == scalar even over negative alphabets.
+        matches.  Ids are now replaced by their ranks before padding, so
+        batch == scalar even over negative alphabets.
         """
         alphabet = np.arange(-10, 10)
         uploads, dbs = [], []
@@ -89,6 +90,24 @@ class TestBatchSmithWaterman:
         scores = batch_smith_waterman(uploads, dbs)
         assert scores[0] == pytest.approx(smith_waterman([-1, -2], [-2, -1]))
         assert scores[1] == pytest.approx(0.0)
+
+    def test_int64_edge_ids_match_scalar(self):
+        """Ids at both ends of int64 leave no room below them for
+        sentinels; ranking the ids first makes them ordinary."""
+        lo, hi = -(2 ** 63), 2 ** 63 - 1
+        uploads = [[lo, 5, hi], [lo + 1, lo], [hi]]
+        dbs = [[5, hi, lo], [lo, lo + 2], [hi - 1, hi]]
+        scores = batch_smith_waterman(uploads, dbs)
+        assert scores.tolist() == [
+            smith_waterman(u, d) for u, d in zip(uploads, dbs)
+        ]
+
+    @pytest.mark.parametrize("bad", [2 ** 63, -(2 ** 63) - 1, 2 ** 70])
+    def test_ids_outside_int64_raise_value_error(self, bad):
+        with pytest.raises(ValueError, match="int64"):
+            batch_smith_waterman([[bad, 1]], [[1]])
+        with pytest.raises(ValueError, match="int64"):
+            batch_smith_waterman([[1]], [[1, bad]])
 
     def test_empty_batch(self):
         assert batch_smith_waterman([], []).shape == (0,)
@@ -178,6 +197,20 @@ class TestSampleMatcher:
 
     def test_common_id_count(self):
         assert common_id_count([1, 2, 3], [2, 3, 4]) == 2
+
+
+class TestFingerprintIdsOutsideInt64:
+    @pytest.mark.parametrize("bad", [2 ** 63, -(2 ** 63) - 1, 2 ** 70])
+    def test_database_raises_value_error(self, bad):
+        db = FingerprintDatabase()
+        with pytest.raises(ValueError, match="int64"):
+            db.set_fingerprint(1, (5, bad))
+        with pytest.raises(ValueError, match="int64"):
+            db.set_from_samples(1, [(5, bad), (bad, 5)])
+        db.set_fingerprint(1, (5, 6))
+        with pytest.raises(ValueError, match="int64"):
+            db.update_online(1, (5, 6, bad))
+        assert db.fingerprint(1) == (5, 6)
 
 
 class TestEndToEndDiscrimination:

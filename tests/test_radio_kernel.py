@@ -5,6 +5,11 @@ over a lattice memo; :class:`repro.testkit.oracles.OracleScanner` does
 one tower and one ``field_rng`` Generator per lattice corner at a time.
 They must agree exactly: same tower ids, same ``rss_dbm`` and the same
 amount of noise stream consumed.
+
+The batched lattice draw is checked on its own too: its literal
+ziggurat tables against numpy, its values bit for bit against
+``field_rng`` (scalar fallback included), and the resumed key hashes
+against ``stable_hash``.
 """
 
 import numpy as np
@@ -16,7 +21,9 @@ from repro.city.geometry import Point
 from repro.config import RadioConfig
 from repro.radio import CellTower, CellularScanner, PropagationModel, deploy_towers
 from repro.testkit.oracles import OracleScanner
-from repro.util.rng import _keyed_normals, field_normals, field_rng
+from repro.testkit.ziggurat import RABS_LIMIT, probe_tables
+from repro.util import rng as rng_module
+from repro.util.rng import _keyed_normals, field_normals, field_rng, stable_hash
 
 WIDTH, HEIGHT = 3000.0, 2000.0
 TOWERS = deploy_towers(WIDTH, HEIGHT, seed=3)
@@ -161,3 +168,111 @@ class TestBatchedCornerDraws:
     def test_rejects_live_generator(self):
         with pytest.raises(TypeError):
             field_normals(np.random.default_rng(0), [("shadow", 1, 0, 0)])
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _expected(seed, keys) -> list:
+    return _bits([field_rng(seed, *key).standard_normal() for key in keys])
+
+
+class TestZigguratTables:
+    def test_literal_tables_equal_numpys(self):
+        """``wi``/``ki`` as the installed numpy's ``standard_normal`` uses
+        them, re-derived from crafted PCG64 states."""
+        wi, ki = probe_tables()
+        assert _bits(wi) == _bits(rng_module._WI)
+        assert ki == np.minimum(rng_module._KI, RABS_LIMIT).tolist()
+        assert ki[1] == 0
+
+
+@pytest.mark.property
+class TestBatchedDrawBits:
+    shadow_keys = st.lists(
+        st.tuples(
+            st.just("shadow"),
+            st.integers(0, 2**64),
+            st.integers(-10**6, 10**6),
+            st.integers(-10**6, 10**6),
+        ),
+        max_size=60,
+    )
+
+    @given(st.one_of(st.none(), seeds), shadow_keys)
+    def test_bits_equal_field_rng(self, seed, keys):
+        assert _bits(field_normals(seed, keys)) == _expected(seed, keys)
+
+    def test_rejected_words_take_the_scalar_fallback(self, monkeypatch):
+        """A batch whose first words include every kind of ziggurat
+        rejection: strip 1 (``ki[1] == 0``), the base strip's tail and
+        another strip's wedge.  Each goes through the scalar fallback and
+        still equals ``field_rng`` bit for bit."""
+        seed = 7
+        keys = [
+            ("shadow", 40 + i % 97, i // 97 - 50, 11 - i % 13) for i in range(20000)
+        ]
+        rejected = []
+        redraw = rng_module._redraw
+
+        def spy(values, indices, *state):
+            rejected.extend(indices.tolist())
+            return redraw(values, indices, *state)
+
+        monkeypatch.setattr(rng_module, "_redraw", spy)
+        assert _bits(field_normals(seed, keys)) == _expected(seed, keys)
+        words = [
+            field_rng(seed, *keys[i]).bit_generator.random_raw() for i in rejected
+        ]
+        strips = {word & 0xFF for word in words}
+        assert {0, 1} <= strips and len(strips) > 2
+        # The fallback stays the exception (~1.5% of words); a broken
+        # table would still be exact here, but slow.
+        assert 0.005 < len(rejected) / len(keys) < 0.03
+
+
+class TestResumedKeyHashes:
+    @given(
+        st.lists(st.integers(-2**63, 2**64), min_size=1, max_size=6, unique=True),
+        st.lists(
+            st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_equal_stable_hash(self, tower_ids, points):
+        model = PropagationModel(RadioConfig(), seed=3)
+        columns = model.columns(tower_ids)
+        got = model._key_hashes(points, [columns] * len(points))
+        expected = [
+            stable_hash("shadow", tower_id, ix, iy)
+            for ix, iy in points
+            for tower_id in tower_ids
+        ]
+        assert got == expected
+
+    def test_fixed_cases(self):
+        model = PropagationModel(RadioConfig(), seed=3)
+        tower_ids = [0, 7, 12345, 2**40 + 3, -5]
+        points = [(0, 0), (-1, 1), (-12, 345), (10**6, -10**6)]
+        columns = model.columns(tower_ids)
+        got = model._key_hashes(points, [columns[::-1]] * len(points))
+        assert got == [
+            stable_hash("shadow", t, ix, iy)
+            for ix, iy in points
+            for t in tower_ids[::-1]
+        ]
+
+    def test_large_tower_ids_at_negative_corners_match_oracle(self):
+        radio = RadioConfig()
+        towers = [
+            CellTower(tower_id=10**12 + k, position=Point(-800.0 * k, -350.0 * k))
+            for k in range(4)
+        ]
+        model = PropagationModel(radio, seed=9)
+        oracle = OracleScanner(towers, radio, seed=9)
+        for where in (Point(-1234.5, -987.25), Point(-3.0, 4500.5)):
+            for tower in towers:
+                expected = oracle.mean_rss_dbm(tower, where)
+                assert model.mean_rss_dbm(tower, where) == expected

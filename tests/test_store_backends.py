@@ -10,10 +10,12 @@ append-only file, and reopening must truncate exactly the bad suffix.
 
 import json
 import struct
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.campaign import Campaign, CampaignPhase
 from repro.store import FSYNC_POLICIES, NULL_STORE, NullStateStore, open_store
 from repro.store.appendlog import _FRAME, AppendLogStateStore
 from repro.store.memory import MemoryStateStore
@@ -34,6 +36,8 @@ def _appendlog_factory(tmp_path):
     path = str(tmp_path / "state")
     return lambda: AppendLogStateStore(path)
 
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 FACTORIES = {
     "memory": _memory_factory,
@@ -107,6 +111,43 @@ class TestContract:
             (back,) = store.wal_records()
         assert back["vals"] == values
         assert [repr(v) for v in back["vals"]] == [repr(v) for v in values]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_wal_record_writes_nothing(self, factory, bad):
+        with factory() as store:
+            persistent = store.persistent
+            store.append_wal({"seq": 1, "kind": "publish", "at_s": 1.0})
+            with pytest.raises(ValueError):
+                store.append_wal({"seq": 2, "kind": "trip", "trip": {"t": [5.0, bad]}})
+            assert store.last_seq() == 1
+            assert [r["seq"] for r in store.wal_records()] == [1]
+        if persistent:
+            with factory() as store:
+                assert [r["seq"] for r in store.wal_records()] == [1]
+                store.append_wal({"seq": 2, "kind": "publish", "at_s": 2.0})
+                assert store.last_seq() == 2
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_snapshot_writes_nothing(self, factory, bad):
+        with factory() as store:
+            store.write_snapshot(1, {"v": 1, "speed": 3.5})
+            with pytest.raises(ValueError):
+                store.write_snapshot(2, {"v": 1, "speed": bad})
+            assert store.latest_snapshot() == (1, {"v": 1, "speed": 3.5})
+        with factory() as store:
+            assert store.latest_snapshot() == (1, {"v": 1, "speed": 3.5})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_campaign_meta_writes_nothing(self, factory, bad):
+        """The campaign's configuration document is the meta the store
+        keeps; a NaN headway must not reach it."""
+        with factory() as store:
+            world = SimpleNamespace(seed=7, server=SimpleNamespace(store=store))
+            with pytest.raises(ValueError):
+                Campaign(world, headway_s=bad)._check_meta(
+                    [CampaignPhase("p", 1, 0.5)], resume=False
+                )
+            assert store.get_meta("campaign") is None
 
     def test_survives_reopen(self, factory):
         with factory() as store:

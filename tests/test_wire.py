@@ -88,6 +88,23 @@ class TestTripCodec:
             trip_from_dict(payload)
 
     @pytest.mark.parametrize(
+        "bad", [3.7, 3.0, "12", None, [5], 2 ** 63, -(2 ** 63) - 1, 2 ** 70]
+    )
+    def test_rejects_cell_id_that_is_not_an_int64(self, bad):
+        """``int()`` would take 3.7 as 3 and "12" as 12; the matcher
+        holds ids as int64, so 2**70 is no id either."""
+        payload = trip_to_dict(make_upload())
+        payload["samples"][1]["cells"] = [5, bad]
+        with pytest.raises(ValueError):
+            trip_from_dict(payload)
+
+    def test_accepts_cell_ids_at_the_int64_edges(self):
+        payload = trip_to_dict(make_upload())
+        payload["samples"][1]["cells"] = [-(2 ** 63), 2 ** 63 - 1]
+        upload = trip_from_dict(payload)
+        assert upload.samples[1].tower_ids == (-(2 ** 63), 2 ** 63 - 1)
+
+    @pytest.mark.parametrize(
         "bad",
         [-1e18, True, False, "12", None, [1.0], CAMPAIGN_HORIZON_S * 2,
          10 ** 400, -(10 ** 400)],
@@ -176,6 +193,12 @@ class TestDatabaseCodec:
     def test_rejects_malformed_entry(self):
         with pytest.raises(ValueError):
             database_from_dict({"v": 1, "stops": {"seven": ["x"]}})
+
+    @pytest.mark.parametrize("bad", [3.7, "12", 2 ** 70])
+    def test_rejects_cell_id_that_is_not_an_int64(self, bad):
+        payload = {"v": 1, "stops": {"7": [10, bad]}}
+        with pytest.raises(ValueError):
+            database_from_dict(payload)
 
     def test_rejects_missing_stops(self):
         with pytest.raises(ValueError):
