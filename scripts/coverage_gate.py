@@ -18,10 +18,11 @@ Three modes, all operating on the ``coverage json`` document format
       pytest --cov=repro --cov-report=json:coverage.json
       python scripts/coverage_gate.py check coverage.json
 
-The stdlib tracer undercounts slightly (lines hit only inside
-multiprocessing workers are invisible to it), so a baseline recorded
-from ``measure`` carries a small built-in safety margin; re-record from
-a pytest-cov document when one is available to tighten the gate.
+The stdlib tracer undercounts slightly (lines hit in a subprocess a
+test starts, such as the fresh-interpreter import check, are invisible
+to it), so a baseline recorded from ``measure`` carries a small
+built-in safety margin; re-record from a pytest-cov document when one
+is available to tighten the gate.
 """
 
 import argparse

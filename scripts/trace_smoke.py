@@ -3,12 +3,14 @@
 
 Runs a tiny campaign with ``--trace-out``, then asserts the exported
 document is a well-formed Chrome trace-event file (required keys,
-monotonic timestamps, matched B/E or X events via
+monotonic timestamps, only X and M events, via
 :func:`validate_chrome_trace`), that the pipeline spans are present in
-one trace, that they cover the process wall, and that ``repro trace``
-renders a summary.  The trace lands in
+one trace, that top-level spans cover the trace wall, and that ``repro
+trace`` renders a summary.  The trace lands in
 ``benchmarks/reports/trace_smoke.json`` for CI to upload — load it in
-Perfetto / ``chrome://tracing`` to eyeball a failing run.
+Perfetto / ``chrome://tracing`` to eyeball a failing run — and the
+run's ``--metrics-out`` document, with its slow-trip exemplars, in
+``benchmarks/reports/trace_smoke_metrics.json`` for ``repro stats``.
 
 Run from the repo root::
 
@@ -27,10 +29,9 @@ from repro.obs import (                                   # noqa: E402
     validate_chrome_trace,
 )
 
-TRACE_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "benchmarks", "reports",
-    "trace_smoke.json",
-)
+REPORTS = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "reports")
+TRACE_PATH = os.path.join(REPORTS, "trace_smoke.json")
+METRICS_PATH = os.path.join(REPORTS, "trace_smoke_metrics.json")
 
 #: Spans a traced campaign must account for.
 REQUIRED_SPANS = {
@@ -43,12 +44,13 @@ REQUIRED_SPANS = {
 
 
 def run_campaign() -> None:
-    os.makedirs(os.path.dirname(TRACE_PATH), exist_ok=True)
+    os.makedirs(REPORTS, exist_ok=True)
     code = main([
         "campaign",
         "--sparse-days", "1", "--intensive-days", "0",
         "--start", "07:30", "--end", "08:00",
         "--trace-out", TRACE_PATH,
+        "--metrics-out", METRICS_PATH,
     ])
     assert code == 0, f"traced campaign exited {code}"
 
@@ -74,20 +76,27 @@ def check_document() -> dict:
 
 def check_summary(document: dict) -> None:
     summary = summarize_chrome_trace(document)
-    assert summary["coordinator_coverage"] >= 0.95, (
-        f"named spans cover only {summary['coordinator_coverage']:.1%} "
-        "of the coordinator wall"
+    assert summary["coverage"] >= 0.95, (
+        f"named spans cover only {summary['coverage']:.1%} of the trace wall"
     )
-    assert summary["compute_s"] > 0, summary
+    assert summary["categories_s"].get("compute", 0.0) > 0, summary
     # And the CLI renders it (also exercises the validate path).
     assert main(["trace", "--validate", TRACE_PATH]) == 0
     assert main(["trace", "--summary", TRACE_PATH]) == 0
+
+
+def check_exemplars() -> None:
+    with open(METRICS_PATH, encoding="utf-8") as handle:
+        exemplars = json.load(handle).get("exemplars", [])
+    assert exemplars, "metrics document holds no slow-trip exemplars"
+    assert all(e["name"] == "receive_trip" and e["stages"] for e in exemplars)
 
 
 def main_smoke() -> int:
     run_campaign()
     document = check_document()
     check_summary(document)
+    check_exemplars()
     events = len(document["traceEvents"])
     print(f"trace smoke OK: {events} events, "
           f"all {len(REQUIRED_SPANS)} accounting spans present; "

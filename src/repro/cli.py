@@ -29,7 +29,7 @@ Tracing: ``simulate``/``campaign`` accept ``--trace-out FILE`` to retain
 causal span records (head sampling via ``--trace-sample``, slowest-N
 tail exemplars via ``--trace-exemplars``) and export them as Chrome
 trace-event JSON — load the file in Perfetto or ``chrome://tracing``,
-or run ``repro trace FILE`` for a terminal IPC-vs-compute breakdown.
+or run ``repro trace FILE`` for a terminal self-time breakdown.
 """
 
 from __future__ import annotations
@@ -165,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("metrics",
                        help="metrics document written by --metrics-out "
                             "(JSON, or Prometheus text for *.prom)")
-    stats.add_argument("--slow-trip-ms", type=float, default=None,
+    stats.add_argument("--slow-trip-ms", type=float, default=50.0,
                        metavar="MS",
                        help="print a tracing hint when a slow-trip exemplar "
-                            "exceeds this duration (default: config)")
+                            "exceeds this duration (default: 50)")
 
     alerts = sub.add_parser(
         "alerts", help="lint an SLO rule file; evaluate it against metrics"
@@ -177,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     alerts.add_argument("--metrics", default=None,
                         help="evaluate the rules against this --metrics-out "
                              "document (JSON or *.prom); exit 1 if any fire")
-    alerts.add_argument("--slow-trip-ms", type=float, default=None,
+    alerts.add_argument("--slow-trip-ms", type=float, default=50.0,
                         metavar="MS",
                         help="print a tracing hint when a slow-trip exemplar "
                              "in the metrics document exceeds this duration "
-                             "(default: config)")
+                             "(default: 50)")
 
     trace = sub.add_parser(
         "trace",
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("trace", help="trace JSON written by --trace-out "
                                      "(or fetched from /trace)")
     trace.add_argument("--summary", action="store_true",
-                       help="print the IPC-vs-compute breakdown (the "
-                            "default output; kept explicit for scripts)")
+                       help="print the self-time breakdown (the default "
+                            "output; kept explicit for scripts)")
     trace.add_argument("--validate", action="store_true",
                        help="only check the trace-event schema; exit 1 on "
                             "problems, print nothing else")
@@ -273,14 +273,14 @@ def _add_trace_flags(command: argparse.ArgumentParser) -> None:
                          help="retain span records and write them as Chrome "
                               "trace-event JSON (load in Perfetto / "
                               "chrome://tracing, or `repro trace FILE`)")
-    command.add_argument("--trace-sample", type=float, default=None,
+    command.add_argument("--trace-sample", type=float, default=1.0,
                          metavar="RATE",
                          help="head-sampling rate for per-trip spans, 0..1 "
-                              "(default: config; deterministic per trip key)")
-    command.add_argument("--trace-exemplars", type=int, default=None,
+                              "(default: 1; deterministic per trip key)")
+    command.add_argument("--trace-exemplars", type=int, default=8,
                          metavar="N",
                          help="always keep the N slowest trips regardless "
-                              "of sampling (default: config)")
+                              "of sampling (default: 8)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -323,26 +323,13 @@ def _observability_for(tracing: bool, policy=None):
 
 
 def _trace_policy(args) -> Optional[object]:
-    """The SamplingPolicy for this run, or None when retention is off."""
-    from repro.config import DEFAULT_CONFIG
-
-    defaults = DEFAULT_CONFIG.tracing
-    if not getattr(args, "trace_out", None) and not defaults.enabled:
+    """The SamplingPolicy for this run, or None without ``--trace-out``."""
+    if not getattr(args, "trace_out", None):
         return None
     from repro.obs import SamplingPolicy
 
     return SamplingPolicy(
-        head_rate=(
-            args.trace_sample if args.trace_sample is not None
-            else defaults.head_sample_rate
-        ),
-        slow_exemplars=(
-            args.trace_exemplars if args.trace_exemplars is not None
-            else defaults.slow_exemplars
-        ),
-        seed=defaults.sample_seed,
-        max_spans_per_trace=defaults.max_spans_per_trace,
-        max_records=defaults.max_records,
+        head_rate=args.trace_sample, slow_exemplars=args.trace_exemplars
     )
 
 
@@ -643,17 +630,13 @@ def _match_memo_line(counters: dict) -> Optional[str]:
             f"matches + {hits} cache hits ({100 * ratio:.1f}% hit-ratio)")
 
 
-def _slow_trip_hint(document: dict, threshold_ms: Optional[float]) -> Optional[str]:
+def _slow_trip_hint(document: dict, threshold_ms: float) -> Optional[str]:
     """A one-line tracing pointer when slow-trip exemplars breach the bar.
 
     Exemplars land in the metrics document only for runs that retained
     spans, so the hint surfaces latency outliers in the operator
     surfaces (``stats`` / ``alerts``) without anyone asking for them.
     """
-    if threshold_ms is None:
-        from repro.config import DEFAULT_CONFIG
-
-        threshold_ms = DEFAULT_CONFIG.tracing.slow_trip_hint_ms
     exemplars = document.get("exemplars") or []
     slow = [
         e for e in exemplars
@@ -743,12 +726,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             )
             rows.append([
                 exemplar.get("key") or exemplar.get("name", "?"),
-                exemplar.get("worker") or "coordinator",
                 f"{1e3 * exemplar.get('duration_s', 0.0):.1f}",
                 stage_parts or "-",
             ])
         sections.append(render_table(
-            ["trip", "where", "total (ms)", "hottest stages"],
+            ["trip", "total (ms)", "hottest stages"],
             rows,
             title="Slow-trip exemplars (tail retention)",
         ))

@@ -237,37 +237,6 @@ class IngestConfig:
 
 
 @dataclass(frozen=True)
-class TracingConfig:
-    """Span-retention defaults for the tracing subsystem.
-
-    Aggregate stage timing is always available through
-    :class:`~repro.obs.tracing.Tracer`; these knobs only govern *span
-    record* retention (``--trace-out``), which is off by default — the
-    hot path then stays on the :data:`~repro.obs.tracing.NULL_TRACER`
-    no-op fast path.  Tracing is observation only: no retained span or
-    exemplar ever feeds back into a pipeline decision, so traced runs
-    stay bit-identical to untraced ones.
-    """
-
-    #: Whether CLI runs retain span records without ``--trace-out``.
-    enabled: bool = False
-    #: Head-sampling probability for keyed (per-trip) spans; decided
-    #: deterministically per ``(sample_seed, trip_key)``.
-    head_sample_rate: float = 1.0
-    #: Slowest-N trips always kept as tail exemplars.
-    slow_exemplars: int = 8
-    #: Seed of the per-key head-sampling decision.
-    sample_seed: int = 0
-    #: Span records buffered per keyed trip before dropping.
-    max_spans_per_trace: int = 4096
-    #: Global retained-record budget across a run.
-    max_records: int = 200_000
-    #: ``repro stats`` / ``repro alerts`` print a tracing hint when any
-    #: slow-trip exemplar exceeds this duration.
-    slow_trip_hint_ms: float = 50.0
-
-
-@dataclass(frozen=True)
 class GoogleMapsConfig:
     """Coarse 4-level traffic indicator baseline (Fig. 10)."""
 
@@ -297,7 +266,6 @@ class SystemConfig:
     uplink: UplinkConfig = field(default_factory=UplinkConfig)
     google_maps: GoogleMapsConfig = field(default_factory=GoogleMapsConfig)
     analytics: AnalyticsConfig = field(default_factory=AnalyticsConfig)
-    tracing: TracingConfig = field(default_factory=TracingConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
 
 

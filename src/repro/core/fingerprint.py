@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.city.stops import StopRegistry
 from repro.config import MatchingConfig
-from repro.core.matching import batch_smith_waterman, cell_id_array
+from repro.core.matching import batch_smith_waterman
 from repro.radio.scanner import CellularScanner
+from repro.radio.towers import check_cell_ids
 from repro.util.rng import SeedLike, ensure_rng
 
 
@@ -70,14 +71,14 @@ class FingerprintDatabase:
         """Store (or overwrite) one station's fingerprint.
 
         Raises ``ValueError`` on an empty or repeating sequence, or on an
-        id outside int64, which the matcher could not hold.
+        id that :func:`~repro.radio.towers.check_cell_ids` rejects.
         """
+        tower_ids = check_cell_ids(tower_ids)
         if not tower_ids:
             raise ValueError("a fingerprint needs at least one tower id")
-        cell_id_array(tower_ids)
         if len(set(tower_ids)) != len(tower_ids):
             raise ValueError("fingerprint tower ids must be unique")
-        self._fingerprints[station_id] = tuple(tower_ids)
+        self._fingerprints[station_id] = tower_ids
 
     def set_from_samples(
         self, station_id: int, samples: Sequence[Sequence[int]]

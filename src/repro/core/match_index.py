@@ -75,15 +75,15 @@ class MatchIndex:
     """Dense tower × station incidence over a fingerprint DB.
 
     ``station_ids`` are sorted and ``towers`` are the sorted distinct
-    cell ids; ``incidence[t, s]`` is 1.0 when station ``s``'s
-    fingerprint contains tower ``t``.  :meth:`common_counts` multiplies
-    a batch of samples' one-hot rows by it; :meth:`candidates` is the
-    one-sample view.  The index is immutable once built; rebuild it when
-    the database changes.
+    cell ids; ``rank`` maps each of them to its row, and
+    ``incidence[t, s]`` is 1.0 when station ``s``'s fingerprint contains
+    tower ``t``.  :meth:`common_counts` multiplies a batch of samples'
+    one-hot rows by it; :meth:`candidates` is the one-sample view.  The
+    index is immutable once built; rebuild it when the database changes.
     """
 
     __slots__ = (
-        "station_ids", "towers", "known", "incidence", "_observing",
+        "station_ids", "towers", "rank", "incidence", "_observing",
         "_h_candidates", "_g_prune_ratio", "_lookups", "_candidates_seen",
     )
 
@@ -96,14 +96,13 @@ class MatchIndex:
         if not fingerprints:
             raise ValueError("match index needs a non-empty fingerprint database")
         self.station_ids = np.array(sorted(fingerprints), dtype=np.int64)
-        self.known = frozenset(
-            int(t) for seq in fingerprints.values() for t in seq
-        )
-        self.towers = np.array(sorted(self.known), dtype=np.int64)
-        self.incidence = np.zeros((len(self.towers), len(self.station_ids)))
+        towers = sorted({int(t) for seq in fingerprints.values() for t in seq})
+        self.towers = np.array(towers, dtype=np.int64)
+        self.rank = {tower: row for row, tower in enumerate(towers)}
+        self.incidence = np.zeros((len(towers), len(self.station_ids)))
         for ordinal, sid in enumerate(self.station_ids.tolist()):
-            seq = np.asarray(fingerprints[sid], dtype=np.int64)
-            self.incidence[np.searchsorted(self.towers, seq), ordinal] = 1.0
+            rows = [self.rank[int(t)] for t in fingerprints[sid]]
+            self.incidence[rows, ordinal] = 1.0
         reg = registry if registry is not None else NULL_REGISTRY
         self._observing = not isinstance(reg, NullRegistry)
         self._h_candidates = reg.histogram(
@@ -129,28 +128,25 @@ class MatchIndex:
 
     def stations_for(self, tower_id: int) -> Tuple[int, ...]:
         """The stations whose fingerprint contains ``tower_id`` (sorted)."""
-        if int(tower_id) not in self.known:
+        row = self.rank.get(int(tower_id))
+        if row is None:
             return ()
-        pos = int(np.searchsorted(self.towers, int(tower_id)))
-        return tuple(self.station_ids[self.incidence[pos] > 0].tolist())
+        return tuple(self.station_ids[self.incidence[row] > 0].tolist())
 
-    def common_counts(self, queries: np.ndarray) -> np.ndarray:
-        """``(P, S)`` common-id counts for ``(P, n)`` padded sample rows.
+    def common_counts(self, ranks: np.ndarray) -> np.ndarray:
+        """``(P, S)`` common-id counts for ``(P, n)`` padded rank rows.
 
-        Each row's ids become a one-hot row over ``towers``; a repeated
-        id sets its column once (so counts are distinct shared ids, as
+        Each row holds the samples' ids as :attr:`rank` values, with a
+        negative value for an id outside the database and for padding.
+        It becomes a one-hot row over ``towers``; a repeated id sets its
+        column once (so counts are distinct shared ids, as
         :func:`~repro.core.matching.common_id_count` defines them), and
-        ids outside :attr:`known` — padding included — set nothing.
-        Counts are small integers, exact in float64.
+        negative values set nothing.  Counts are small integers, exact
+        in float64.
         """
-        rows = len(queries)
-        one_hot = np.zeros((rows, len(self.towers)))
-        if len(self.towers) and queries.size:
-            pos = np.minimum(
-                np.searchsorted(self.towers, queries), len(self.towers) - 1
-            )
-            hit = self.towers[pos] == queries
-            one_hot[np.nonzero(hit)[0], pos[hit]] = 1.0
+        one_hot = np.zeros((len(ranks), len(self.towers)))
+        hit = ranks >= 0
+        one_hot[np.nonzero(hit)[0], ranks[hit]] = 1.0
         counts = one_hot @ self.incidence
         if self._observing:
             for pool in np.count_nonzero(counts, axis=1).tolist():
@@ -164,11 +160,11 @@ class MatchIndex:
         the whole database and must agree — any station left out here
         that could still win is a bug.
         """
-        known = self.known
-        ids = np.asarray(
-            [t for t in map(int, tower_ids) if t in known], dtype=np.int64
+        ranks = np.array(
+            [[self.rank.get(t, -1) for t in map(int, tower_ids)]],
+            dtype=np.int64,
         )
-        counts = self.common_counts(ids.reshape(1, -1))[0]
+        counts = self.common_counts(ranks)[0]
         return set(self.station_ids[counts > 0].tolist())
 
     def _observe(self, pool: int) -> None:

@@ -123,14 +123,6 @@ def _sw_kernel(
     return table.reshape(-1, batch).max(axis=0)
 
 
-def cell_id_array(ids: Sequence[int]) -> np.ndarray:
-    """``ids`` as an int64 array; ``ValueError`` if one lies outside int64."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("cell ids must lie inside int64") from exc
-
-
 def batch_smith_waterman(
     uploads: Sequence[Sequence[int]],
     databases: Sequence[Sequence[int]],
@@ -161,9 +153,13 @@ def batch_smith_waterman(
     if n_max == 0 or m_max == 0:
         return np.zeros(batch)
 
-    ids = cell_id_array(
-        [t for u in uploads for t in u] + [t for d in databases for t in d]
-    )
+    try:
+        ids = np.array(
+            [t for u in uploads for t in u] + [t for d in databases for t in d],
+            dtype=np.int64,
+        )
+    except OverflowError as exc:
+        raise ValueError("cell ids must lie inside int64") from exc
     ranks = np.unique(ids, return_inverse=True)[1].reshape(-1)
     split = int(query_lengths.sum())
     query = np.full((batch, n_max), -1, dtype=np.int64)
@@ -307,16 +303,16 @@ class SampleMatcher:
         self._index = MatchIndex(fingerprints, registry=self._registry)
         stations = self._index.station_ids
         width = max(1, max(len(t) for t in fingerprints.values()))
-        # Sentinels sit below every database id: fingerprint rows are
-        # padded with ``min - 2``, and query rows with ``min - 1``, which
-        # also stands in for every sample id outside the database (such
-        # an id never matches, whatever its value).
-        min_id = min((min(t) for t in fingerprints.values() if t), default=0)
-        self._query_pad = min_id - 1
-        matrix = np.full((len(stations), width), min_id - 2, dtype=np.int64)
+        # Scores depend only on which ids are equal, so rows hold each
+        # id's rank among the database ids.  Fingerprint rows are padded
+        # with -2 and query rows with -1, which also stands in for every
+        # sample id outside the database (such an id never matches): no
+        # sentinel can equal a rank, whatever ids come in.
+        rank = self._index.rank
+        matrix = np.full((len(stations), width), -2, dtype=np.int64)
         for row, sid in enumerate(stations.tolist()):
             towers = fingerprints[sid]
-            matrix[row, : len(towers)] = towers
+            matrix[row, : len(towers)] = [rank[t] for t in towers]
         self._matrix = matrix
 
     @property
@@ -357,10 +353,10 @@ class SampleMatcher:
     def _scan(self, pending: List[Tuple[int, ...]]) -> List[CachedMatch]:
         """Verdicts for unique uncached keys, in ``pending`` order."""
         n_max = max(len(key) for key in pending)
-        known, pad = self._index.known, self._query_pad
-        queries = np.full((len(pending), max(n_max, 1)), pad, dtype=np.int64)
+        rank = self._index.rank
+        queries = np.full((len(pending), max(n_max, 1)), -1, dtype=np.int64)
         for row, key in enumerate(pending):
-            queries[row, : len(key)] = [t if t in known else pad for t in key]
+            queries[row, : len(key)] = [rank.get(t, -1) for t in key]
         common = self._index.common_counts(queries)          # (P, S)
         pools = np.count_nonzero(common, axis=1).tolist()
         owners, ordinals = np.nonzero(common >= self._need)

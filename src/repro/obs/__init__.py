@@ -20,10 +20,9 @@ The pillars the phone→server pipeline reports itself through:
 * :class:`Tracer` — nested ``with tracer.span("matching"):`` timing,
   aggregated per stage name; attach a :class:`SamplingPolicy` to also
   retain :class:`SpanRecord` objects (trace/span/parent ids, slow-trip
-  exemplars, cross-process stitching via :class:`TraceContext`) and
-  export them with :func:`chrome_trace_document` for Perfetto /
-  ``chrome://tracing``; :data:`NULL_TRACER` makes instrumented hot
-  paths free when tracing is off.
+  exemplars) and export them with :func:`chrome_trace_document` for
+  Perfetto / ``chrome://tracing``; :data:`NULL_TRACER` makes
+  instrumented hot paths free when tracing is off.
 * :func:`configure` / :func:`get_logger` / :func:`log_event` —
   structured logging (key=value or JSON Lines) on stdlib ``logging``.
 
@@ -76,7 +75,6 @@ from repro.obs.tracing import (
     SPAN_CATEGORIES,
     SpanRecord,
     StageTiming,
-    TraceContext,
     Tracer,
     chrome_trace_document,
     format_trace_summary,
@@ -123,7 +121,6 @@ __all__ = [
     "NULL_TRACER",
     "SamplingPolicy",
     "SpanRecord",
-    "TraceContext",
     "Exemplar",
     "ExemplarStore",
     "SPAN_CATEGORIES",

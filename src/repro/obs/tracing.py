@@ -1,4 +1,4 @@
-"""Span tracing: per-stage aggregates plus causal, cross-process spans.
+"""Span tracing: per-stage aggregates plus causal spans.
 
 A :class:`Tracer` times named stages with nested ``with`` spans::
 
@@ -14,19 +14,18 @@ Two recording layers share that API:
   ``--metrics-out`` need.
 * **Span retention** (on when a :class:`SamplingPolicy` is attached):
   each finished span additionally becomes a :class:`SpanRecord` with
-  trace / span / parent ids, wall-clock bounds, the owning pid and an
-  optional ``worker`` label, ready for Chrome trace-event export
-  (Perfetto / ``chrome://tracing``) via :func:`chrome_trace_document`.
+  trace / span / parent ids, wall-clock bounds and the owning pid,
+  ready for Chrome trace-event export (Perfetto / ``chrome://tracing``)
+  via :func:`chrome_trace_document`.
 
 Retention is bounded by the policy:
 
 * **Head sampling** applies to *keyed* spans — a span opened with a
-  ``key=...`` attribute (per-trip roots like ``receive_trip`` /
-  ``prepare_trip``) starts a sampling scope; the whole subtree is kept
-  or dropped together.  The decision is a pure function of
-  ``(policy.seed, key)``, so it is deterministic, order-independent and
-  identical in every worker process.  Keyless spans (pipeline phases,
-  IPC accounting spans) are always retained.
+  ``key=...`` attribute (per-trip roots like ``receive_trip``) starts a
+  sampling scope; the whole subtree is kept or dropped together.  The
+  decision is a pure function of ``(policy.seed, key)``, so it is
+  deterministic, order-independent and identical across runs.  Keyless
+  spans (pipeline phases) are always retained.
 * **Tail exemplars**: the slowest-N keyed spans are always kept, head
   sampling notwithstanding, in a bounded min-heap
   (:class:`ExemplarStore`) — the latency outliers an operator actually
@@ -34,20 +33,12 @@ Retention is bounded by the policy:
 * Hard caps (``max_spans_per_trace``, ``max_records``) bound memory;
   evictions are counted, never silent.
 
-Cross-process stitching: the coordinator captures
-:meth:`Tracer.ipc_context` next to each shard dispatch; the worker
-builds its tracer from that :class:`TraceContext`, so worker spans
-parent under the coordinator's dispatch span with the same trace id and
-a ``worker`` attribute.  Finished worker state travels back as a plain
-picklable dict (:meth:`Tracer.export_trace_state`) and folds into the
-coordinator (:meth:`Tracer.absorb`).
-
 When tracing is off, components hold :data:`NULL_TRACER`, whose
 ``span()`` returns one shared no-op context manager: entering and
 leaving it is two trivial method calls, so instrumented hot paths pay
 effectively nothing.  No trace-derived value ever feeds back into
 pipeline decisions, so conformance traces stay byte-identical with
-tracing on or off, at any worker count.
+tracing on or off.
 """
 
 from __future__ import annotations
@@ -59,13 +50,12 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "StageTiming",
     "SamplingPolicy",
     "SpanRecord",
-    "TraceContext",
     "Exemplar",
     "ExemplarStore",
     "Tracer",
@@ -81,21 +71,10 @@ __all__ = [
 
 #: Cost category per well-known span name, exported as the Chrome event
 #: ``cat`` field and summed (by self-time) in the ``repro trace``
-#: summary.  ``ipc`` and ``wait`` names are the serialization /
-#: queueing / merge costs of a cross-process caller (the in-tree
-#: pipeline is single-process and emits none); ``compute`` names are
-#: the pure pipeline stages; ``sim`` is the synthetic-world simulator;
-#: ``trip`` and ``pipeline`` are structural parents whose time lives in
-#: children.
+#: summary.  ``compute`` names are the pure pipeline stages; ``sim`` is
+#: the synthetic-world simulator; ``trip`` and ``pipeline`` are
+#: structural parents whose time lives in children.
 SPAN_CATEGORIES: Dict[str, str] = {
-    "fingerprint_broadcast": "ipc",
-    "shard_serialize": "ipc",
-    "shard_deserialize": "ipc",
-    "pool_queue_wait": "ipc",
-    "worker_init": "ipc",
-    "result_merge": "ipc",
-    "ingest_merge": "ipc",
-    "pool_result_wait": "wait",
     "matching": "compute",
     "clustering": "compute",
     "trip_mapping": "compute",
@@ -105,15 +84,8 @@ SPAN_CATEGORIES: Dict[str, str] = {
     "phone_recording": "sim",
     "uplink": "sim",
     "receive_trip": "trip",
-    "prepare_trip": "trip",
     "ingest": "pipeline",
 }
-
-
-#: Per-process tracer instance counter: span ids embed it so records
-#: from two tracers in the same process (e.g. one per worker shard)
-#: never collide.
-_TRACER_SEQ = itertools.count()
 
 
 @dataclass
@@ -139,20 +111,6 @@ class StageTiming:
         if duration_s > self.max_s:
             self.max_s = duration_s
 
-    def merge(self, other: Dict[str, float]) -> None:
-        """Fold another aggregate's ``as_dict`` view into this one."""
-        count = int(other.get("count", 0))
-        if not count:
-            return
-        self.count += count
-        self.total_s += other.get("total_s", 0.0)
-        other_min = other.get("min_s", 0.0)
-        if other_min < self.min_s:
-            self.min_s = other_min
-        other_max = other.get("max_s", 0.0)
-        if other_max > self.max_s:
-            self.max_s = other_max
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-JSON view of the aggregate."""
         return {
@@ -169,8 +127,8 @@ class SamplingPolicy:
     """Retention policy for span records (attach one to enable them)."""
 
     #: Probability a *keyed* span's subtree is head-retained.  The
-    #: decision is deterministic per ``(seed, key)``, so replays and
-    #: worker processes agree.  Keyless spans are always retained.
+    #: decision is deterministic per ``(seed, key)``, so replays
+    #: agree.  Keyless spans are always retained.
     head_rate: float = 1.0
     #: Slowest-N keyed spans kept regardless of head sampling.
     slow_exemplars: int = 8
@@ -185,7 +143,7 @@ class SamplingPolicy:
 
 @dataclass
 class SpanRecord:
-    """One finished span, ready for export (picklable, JSON-able)."""
+    """One finished span, ready for export (JSON-able)."""
 
     name: str
     trace_id: str
@@ -194,7 +152,6 @@ class SpanRecord:
     start_s: float
     duration_s: float
     pid: int
-    worker: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -206,20 +163,8 @@ class SpanRecord:
             "start_s": self.start_s,
             "duration_s": self.duration_s,
             "pid": self.pid,
-            "worker": self.worker,
             "attrs": dict(self.attrs),
         }
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Propagated trace position: what a remote span should parent under."""
-
-    trace_id: str
-    span_id: Optional[str]
-    #: The coordinator's sampling policy, so workers make the *same*
-    #: per-key retention decisions; ``None`` means aggregates only.
-    policy: Optional[SamplingPolicy] = None
 
 
 @dataclass
@@ -249,7 +194,6 @@ class Exemplar:
         return {
             "name": self.root.name,
             "key": self.key,
-            "worker": self.root.worker,
             "duration_s": self.root.duration_s,
             "stages": dict(
                 sorted(stages.items(), key=lambda kv: -kv[1])
@@ -345,33 +289,20 @@ class Tracer:
 
     ``Tracer()`` is the aggregate-only mode every instrumented component
     has always used.  ``Tracer(SamplingPolicy(...))`` additionally
-    retains :class:`SpanRecord` objects under the policy.  ``context``
-    and ``worker`` make a worker-side tracer whose spans stitch under a
-    coordinator span (see module docstring).
+    retains :class:`SpanRecord` objects under the policy.  Span ids are
+    unique within one tracer, which is all one exported document holds.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        policy: Optional[SamplingPolicy] = None,
-        *,
-        context: Optional[TraceContext] = None,
-        worker: Optional[str] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[SamplingPolicy] = None) -> None:
         self._stack: List[_Span] = []
         self._stats: Dict[str, StageTiming] = {}
         self._policy = policy
-        self._context = context
-        self._worker = worker
         self._pid = os.getpid()
         self._retaining = policy is not None
         self._ids = itertools.count(1)
-        self._id_prefix = f"{self._pid:x}.{next(_TRACER_SEQ):x}"
-        if context is not None:
-            self.trace_id = context.trace_id
-        else:
-            self.trace_id = f"{self._pid:x}-{int(time.time() * 1e3) & 0xFFFFFF:x}"
+        self.trace_id = f"{self._pid:x}-{int(time.time() * 1e3) & 0xFFFFFF:x}"
         max_records = policy.max_records if policy else 0
         self._records: deque = deque()
         self._max_records = max_records
@@ -393,7 +324,7 @@ class Tracer:
 
     def _open(self, span: _Span) -> None:
         if self._retaining:
-            span.parent_id = self._parent_id()
+            span.parent_id = self._stack[-1].span_id if self._stack else None
             span.span_id = self._next_id()
             if span.attrs and "key" in span.attrs:
                 self._scopes.append(_Scope(
@@ -420,47 +351,6 @@ class Tracer:
         if self._retaining:
             self._route(self._record_for(span, duration_s), closing=span)
 
-    def record_span(
-        self,
-        name: str,
-        *,
-        start_s: float,
-        duration_s: float,
-        **attrs,
-    ) -> None:
-        """Inject an already-measured span (IPC accounting, replays).
-
-        The span parents under the innermost open span (or the remote
-        context); a ``key`` attribute makes it a one-record sampling
-        unit, exactly like a keyed ``with`` span with no children.
-        """
-        duration_s = max(duration_s, 0.0)
-        timing = self._stats.get(name)
-        if timing is None:
-            timing = self._stats[name] = StageTiming()
-        timing.record(duration_s)
-        if not self._stack:
-            self._root_s += duration_s
-        if not self._retaining:
-            return
-        record = SpanRecord(
-            name=name,
-            trace_id=self.trace_id,
-            span_id=self._next_id(),
-            parent_id=self._parent_id(),
-            start_s=start_s,
-            duration_s=duration_s,
-            pid=self._pid,
-            worker=self._worker,
-            attrs=dict(attrs),
-        )
-        if "key" in attrs:
-            self._exemplars.offer(Exemplar(root=record))
-            if self._sample(attrs["key"]):
-                self._retain(record)
-        else:
-            self._route(record, closing=None)
-
     # -- retention plumbing --------------------------------------------------
 
     def _record_for(self, span: _Span, duration_s: float) -> SpanRecord:
@@ -472,7 +362,6 @@ class Tracer:
             start_s=span._start,
             duration_s=duration_s,
             pid=self._pid,
-            worker=self._worker,
             attrs=dict(span.attrs) if span.attrs else {},
         )
 
@@ -500,15 +389,8 @@ class Tracer:
             self._records_dropped += 1
         self._records.append(record)
 
-    def _parent_id(self) -> Optional[str]:
-        if self._stack:
-            return self._stack[-1].span_id
-        if self._context is not None:
-            return self._context.span_id
-        return None
-
     def _next_id(self) -> str:
-        return f"{self._id_prefix}.{next(self._ids)}"
+        return f"{next(self._ids):x}"
 
     def _sample(self, key) -> bool:
         rate = self._policy.head_rate
@@ -519,39 +401,6 @@ class Tracer:
         # A fresh str-seeded Random: deterministic across processes and
         # interpreter runs (unlike hash()), independent of call order.
         return random.Random(f"{self._policy.seed}:{key}").random() < rate
-
-    # -- cross-process stitching ---------------------------------------------
-
-    def ipc_context(self) -> TraceContext:
-        """The context a worker tracer should be built from, right now."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=self._parent_id(),
-            policy=self._policy,
-        )
-
-    def export_trace_state(self) -> Dict[str, Any]:
-        """Everything a worker ships back (picklable)."""
-        return {
-            "stages": self.stage_stats(),
-            "records": list(self._records),
-            "exemplars": self._exemplars.items(),
-            "dropped": self._records_dropped,
-        }
-
-    def absorb(self, state: Dict[str, Any]) -> None:
-        """Fold a worker's exported trace state into this tracer."""
-        for name, timing in state.get("stages", {}).items():
-            mine = self._stats.get(name)
-            if mine is None:
-                mine = self._stats[name] = StageTiming()
-            mine.merge(timing)
-        if self._retaining:
-            for record in state.get("records", []):
-                self._retain(record)
-            for exemplar in state.get("exemplars", []):
-                self._exemplars.offer(exemplar)
-            self._records_dropped += state.get("dropped", 0)
 
     # -- introspection -------------------------------------------------------
 
@@ -646,10 +495,6 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-_EMPTY_TRACE_STATE: Dict[str, Any] = {
-    "stages": {}, "records": [], "exemplars": [], "dropped": 0,
-}
-
 
 class NullTracer:
     """A tracer that records nothing and costs (almost) nothing."""
@@ -664,18 +509,6 @@ class NullTracer:
     def span(self, name: str, **attrs) -> _NullSpan:
         """The shared no-op span."""
         return _NULL_SPAN
-
-    def record_span(self, name: str, **kwargs) -> None:
-        pass
-
-    def ipc_context(self) -> None:
-        return None
-
-    def export_trace_state(self) -> Dict[str, Any]:
-        return dict(_EMPTY_TRACE_STATE)
-
-    def absorb(self, state) -> None:
-        pass
 
     @property
     def depth(self) -> int:
@@ -715,8 +548,8 @@ NULL_TRACER = NullTracer()
 #
 # The export is the "JSON Array Format with metadata" flavour both
 # Perfetto and chrome://tracing load: complete ("X") events carrying
-# microsecond ts/dur per (pid, tid) track, plus "M" metadata events
-# naming each process.  Span/parent ids travel in ``args`` so tooling
+# microsecond ts/dur per (pid, tid) track, plus an "M" metadata event
+# naming the process.  Span/parent ids travel in ``args`` so tooling
 # (and `repro trace --summary`) can rebuild the causal tree and compute
 # self-times.
 
@@ -726,18 +559,14 @@ def chrome_trace_document(records: Sequence[SpanRecord]) -> Dict[str, Any]:
     if not records:
         return {"traceEvents": [], "displayTimeUnit": "ms"}
     epoch = min(r.start_s for r in records)
-    labels: Dict[int, str] = {}
     events: List[Dict[str, Any]] = []
     for record in sorted(records, key=lambda r: (r.start_s, r.span_id)):
-        labels.setdefault(record.pid, record.worker or "coordinator")
         args: Dict[str, Any] = {
             "trace_id": record.trace_id,
             "span_id": record.span_id,
         }
         if record.parent_id is not None:
             args["parent_id"] = record.parent_id
-        if record.worker is not None:
-            args["worker"] = record.worker
         args.update(record.attrs)
         events.append({
             "name": record.name,
@@ -755,9 +584,9 @@ def chrome_trace_document(records: Sequence[SpanRecord]) -> Dict[str, Any]:
             "ph": "M",
             "pid": pid,
             "tid": 0,
-            "args": {"name": label},
+            "args": {"name": "repro"},
         }
-        for pid, label in sorted(labels.items())
+        for pid in sorted({r.pid for r in records})
     ]
     return {
         "traceEvents": metadata + events,
@@ -767,14 +596,17 @@ def chrome_trace_document(records: Sequence[SpanRecord]) -> Dict[str, Any]:
 
 
 def validate_chrome_trace(document: Any) -> List[str]:
-    """Schema-lint a trace-event document; returns problems (empty = ok)."""
+    """Schema-lint a trace-event document; returns problems (empty = ok).
+
+    Only the event types the exporter writes are supported: complete
+    ("X") and metadata ("M") events.
+    """
     problems: List[str] = []
     if not isinstance(document, dict):
         return [f"document is {type(document).__name__}, expected object"]
     events = document.get("traceEvents")
     if not isinstance(events, list):
         return ["missing traceEvents array"]
-    open_stacks: Dict[Tuple[Any, Any], int] = {}
     last_ts = None
     for index, event in enumerate(events):
         if not isinstance(event, dict):
@@ -784,7 +616,7 @@ def validate_chrome_trace(document: Any) -> List[str]:
             if required not in event:
                 problems.append(f"event {index}: missing {required!r}")
         ph = event.get("ph")
-        if ph not in ("X", "B", "E", "M"):
+        if ph not in ("X", "M"):
             problems.append(f"event {index}: unsupported ph {ph!r}")
             continue
         if ph == "M":
@@ -798,43 +630,25 @@ def validate_chrome_trace(document: Any) -> List[str]:
                 f"event {index}: ts {ts} goes backwards (prev {last_ts})"
             )
         last_ts = ts
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"event {index}: X event bad dur {dur!r}")
-        elif ph == "B":
-            track = (event.get("pid"), event.get("tid"))
-            open_stacks[track] = open_stacks.get(track, 0) + 1
-        elif ph == "E":
-            track = (event.get("pid"), event.get("tid"))
-            if not open_stacks.get(track):
-                problems.append(f"event {index}: E without matching B")
-            else:
-                open_stacks[track] -= 1
-    for track, depth in open_stacks.items():
-        if depth:
-            problems.append(f"track {track}: {depth} unmatched B event(s)")
+        dur = event.get("dur")
+        if not isinstance(dur, (int, float)) or dur < 0:
+            problems.append(f"event {index}: X event bad dur {dur!r}")
     return problems
 
 
 def summarize_chrome_trace(document: Dict[str, Any], top: int = 5) -> Dict[str, Any]:
-    """Decompose a trace into IPC vs compute (self-time) numbers.
+    """Decompose a trace into self-time per category and span name.
 
     Self-time per event is its duration minus the durations of its
     direct children (linked through ``args.parent_id``); categories come
     from the exported ``cat`` field, so structural parents (``trip``,
-    ``pipeline``) never double-count their children's work.
+    ``pipeline``) never double-count their children's work.  Coverage
+    is the share of the trace's wall under top-level spans.
     """
     events = [
         e for e in document.get("traceEvents", [])
         if isinstance(e, dict) and e.get("ph") == "X"
     ]
-    names = {
-        e.get("pid"): e.get("args", {}).get("name")
-        for e in document.get("traceEvents", [])
-        if isinstance(e, dict) and e.get("ph") == "M"
-        and e.get("name") == "process_name"
-    }
     child_us: Dict[str, float] = {}
     for event in events:
         parent = event.get("args", {}).get("parent_id")
@@ -842,7 +656,6 @@ def summarize_chrome_trace(document: Dict[str, Any], top: int = 5) -> Dict[str, 
             child_us[parent] = child_us.get(parent, 0.0) + event.get("dur", 0.0)
     categories: Dict[str, float] = {}
     by_name: Dict[str, Dict[str, float]] = {}
-    per_process: Dict[int, float] = {}
     for event in events:
         span_id = event.get("args", {}).get("span_id")
         self_us = max(
@@ -850,38 +663,24 @@ def summarize_chrome_trace(document: Dict[str, Any], top: int = 5) -> Dict[str, 
         )
         cat = event.get("cat", "other")
         categories[cat] = categories.get(cat, 0.0) + self_us
-        entry = by_name.setdefault(
-            event["name"], {"count": 0, "self_us": 0.0, "cat_is": 0}
-        )
+        entry = by_name.setdefault(event["name"], {"count": 0, "self_us": 0.0})
         entry["count"] += 1
         entry["self_us"] += self_us
-        per_process[event["pid"]] = (
-            per_process.get(event["pid"], 0.0) + self_us
-        )
     if events:
         start = min(e["ts"] for e in events)
         end = max(e["ts"] + e.get("dur", 0.0) for e in events)
         wall_s = (end - start) / 1e6
     else:
         wall_s = 0.0
-    coordinator_pid = next(
-        (pid for pid, label in names.items() if label == "coordinator"), None
-    )
     top_level_us = sum(
         e.get("dur", 0.0) for e in events
         if e.get("args", {}).get("parent_id") is None
-        and (coordinator_pid is None or e.get("pid") == coordinator_pid)
     )
-    coverage = (top_level_us / 1e6) / wall_s if wall_s > 0 else 0.0
-    ipc_s = categories.get("ipc", 0.0) / 1e6
-    compute_s = categories.get("compute", 0.0) / 1e6
-    attributed = ipc_s + compute_s
     slowest = sorted(
         (
             {
                 "name": e["name"],
                 "key": e.get("args", {}).get("key"),
-                "worker": e.get("args", {}).get("worker"),
                 "duration_s": e.get("dur", 0.0) / 1e6,
             }
             for e in events
@@ -891,16 +690,8 @@ def summarize_chrome_trace(document: Dict[str, Any], top: int = 5) -> Dict[str, 
     )[:top]
     return {
         "events": len(events),
-        "processes": {
-            pid: {
-                "name": names.get(pid, "coordinator" if pid == coordinator_pid
-                                  else f"pid-{pid}"),
-                "self_s": self_us / 1e6,
-            }
-            for pid, self_us in sorted(per_process.items())
-        },
         "wall_s": wall_s,
-        "coordinator_coverage": coverage,
+        "coverage": (top_level_us / 1e6) / wall_s if wall_s > 0 else 0.0,
         "categories_s": {
             cat: total / 1e6 for cat, total in sorted(categories.items())
         },
@@ -910,10 +701,6 @@ def summarize_chrome_trace(document: Dict[str, Any], top: int = 5) -> Dict[str, 
                 by_name.items(), key=lambda kv: -kv[1]["self_us"]
             )
         },
-        "ipc_s": ipc_s,
-        "compute_s": compute_s,
-        "ipc_share": ipc_s / attributed if attributed else 0.0,
-        "compute_share": compute_s / attributed if attributed else 0.0,
         "slowest": slowest,
     }
 
@@ -922,10 +709,8 @@ def format_trace_summary(summary: Dict[str, Any]) -> str:
     """Render :func:`summarize_chrome_trace` as an operator report."""
     lines = [
         f"trace: {summary['events']} span events over "
-        f"{summary['wall_s']:.3f} s wall across "
-        f"{len(summary['processes'])} process(es)",
-        f"coordinator coverage by top-level spans: "
-        f"{100 * summary['coordinator_coverage']:.1f}%",
+        f"{summary['wall_s']:.3f} s wall",
+        f"coverage by top-level spans: {100 * summary['coverage']:.1f}%",
     ]
     categories = summary["categories_s"]
     if categories:
@@ -937,12 +722,6 @@ def format_trace_summary(summary: Dict[str, Any]) -> str:
             )
         )
         lines.append(f"self-time by category: {parts}")
-    lines.append(
-        f"IPC vs compute: ipc {summary['ipc_s']:.3f}s "
-        f"({100 * summary['ipc_share']:.1f}%) / compute "
-        f"{summary['compute_s']:.3f}s "
-        f"({100 * summary['compute_share']:.1f}%)"
-    )
     hot = list(summary["by_name_s"].items())[:8]
     if hot:
         lines.append("hottest spans (self-time):")
@@ -954,14 +733,8 @@ def format_trace_summary(summary: Dict[str, Any]) -> str:
     if summary["slowest"]:
         lines.append("slowest keyed spans:")
         for row in summary["slowest"]:
-            where = f" on {row['worker']}" if row.get("worker") else ""
             lines.append(
-                f"  {row['name']} key={row['key']}{where}: "
+                f"  {row['name']} key={row['key']}: "
                 f"{row['duration_s'] * 1e3:.1f} ms"
             )
-    for pid, entry in summary["processes"].items():
-        lines.append(
-            f"process {pid} ({entry['name']}): "
-            f"{entry['self_s']:.3f} s attributed self-time"
-        )
     return "\n".join(lines)

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 from repro.city.geometry import Point
 from repro.radio.scanner import CellularScanner, Observation
+from repro.radio.towers import check_cell_ids
 from repro.util.rng import SeedLike
 
 
@@ -28,6 +29,7 @@ class CellularSample:
     def __post_init__(self) -> None:
         if not math.isfinite(self.time_s):
             raise ValueError(f"sample time must be finite, not {self.time_s!r}")
+        object.__setattr__(self, "tower_ids", check_cell_ids(self.tower_ids))
         if self.rss_dbm and len(self.rss_dbm) != len(self.tower_ids):
             raise ValueError("rss_dbm length must match tower_ids")
 

@@ -10,12 +10,32 @@ counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.city.geometry import Point
 from repro.util.rng import SeedLike, ensure_rng
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def check_cell_ids(values: Iterable[Any]) -> Tuple[int, ...]:
+    """``values`` as a tuple of cell ids; ``ValueError`` unless each is an
+    ``int`` (not a ``bool``) inside int64.
+
+    The one rule for every cell id that enters the system: ``int()``
+    would truncate 3.7 and parse "12", JSON ``true`` decodes to a bool,
+    and the matcher holds ids as int64.  Checked per sequence, not per
+    id (one type set and one min/max), since it runs once per sample.
+    """
+    cells = tuple(values)
+    if not set(map(type, cells)) <= {int}:
+        bad = next(c for c in cells if type(c) is not int)
+        raise ValueError(f"cell id must be an integer, not {bad!r}")
+    if cells and not (_INT64_MIN <= min(cells) and max(cells) <= _INT64_MAX):
+        raise ValueError(f"cell id outside int64 in {list(cells)!r}")
+    return cells
 
 
 @dataclass(frozen=True)

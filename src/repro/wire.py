@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, List
 
 from repro.city.gtfs import planar_to_wgs84
 from repro.core.fingerprint import FingerprintDatabase
@@ -29,7 +29,6 @@ _SNAPSHOT_VERSION = 1
 #: first day, with a year of campaign days.  Sample times outside
 #: ``[0, CAMPAIGN_HORIZON_S]`` are rejected at decode.
 CAMPAIGN_HORIZON_S = 366 * 86_400.0
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 # -- trip uploads (phone → server) -------------------------------------------
@@ -62,14 +61,16 @@ def trip_from_dict(payload: Dict[str, Any]) -> TripUpload:
         raise ValueError("trip payload missing 'trip' or 'samples'")
     samples = []
     for entry in payload["samples"]:
+        # The sample constructor holds the cell-id rule (an int, not a
+        # bool, inside int64), so decoded and in-code uploads share it.
         try:
-            time_s = _sample_time(entry["t"])
-            cells = _cell_ids(entry["cells"])
+            samples.append(CellularSample(
+                time_s=_sample_time(entry["t"]), tower_ids=entry["cells"]
+            ))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sample entry {entry!r}") from exc
         except ValueError as exc:
             raise ValueError(f"{exc} in sample entry {entry!r}") from exc
-        samples.append(CellularSample(time_s=time_s, tower_ids=cells))
     return TripUpload(trip_key=str(payload["trip"]), samples=tuple(samples))
 
 
@@ -86,20 +87,6 @@ def _sample_time(value: Any) -> float:
             f"sample time {value!r} outside [0, {CAMPAIGN_HORIZON_S:g}] s"
         )
     return float(value)
-
-
-def _cell_ids(values: Any) -> Tuple[int, ...]:
-    # JSON ``true`` decodes to a bool, and ``int()`` would truncate 3.7
-    # and parse "12": only JSON integers are cell ids, and the matcher
-    # holds ids as int64.  Checked per list, not per id: a benchmark
-    # stream decodes ~100k ids.
-    cells = tuple(values)
-    if not set(map(type, cells)) <= {int}:
-        bad = next(c for c in cells if type(c) is not int)
-        raise ValueError(f"cell id must be an integer, not {bad!r}")
-    if cells and not (_INT64_MIN <= min(cells) and max(cells) <= _INT64_MAX):
-        raise ValueError(f"cell id outside int64 in {list(cells)!r}")
-    return cells
 
 
 def dump_trips(uploads: List[TripUpload], stream: IO[str]) -> None:
@@ -149,12 +136,11 @@ def database_from_dict(payload: Dict[str, Any]) -> FingerprintDatabase:
         raise ValueError("database payload missing 'stops' object")
     database = FingerprintDatabase()
     for station_key, towers in stops.items():
+        # set_fingerprint applies the cell-id rule.
         try:
-            station_id = int(station_key)
-            tower_ids = _cell_ids(towers)
+            database.set_fingerprint(int(station_key), towers)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed database entry {station_key!r}") from exc
-        database.set_fingerprint(station_id, tower_ids)
     return database
 
 

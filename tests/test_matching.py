@@ -186,6 +186,36 @@ class TestSampleMatcher:
             assert got == matcher.match((99, 20, 21, 22, 23, 24))
             assert matcher.candidate_stations((huge, 20)) == {2}
 
+    def test_database_ids_at_the_int64_edges_equal_the_oracle(self):
+        """Padding cannot leave int64 whatever the database holds: ids
+        at both ends of int64 (and next to them) build a matcher whose
+        verdicts equal the spec-literal oracle's."""
+        from repro.testkit import OracleMatcher
+        from repro.wire import database_from_dict
+
+        lo, hi = -(2 ** 63), 2 ** 63 - 1
+        fingerprints = {
+            1: (lo, 5),
+            2: (hi, lo + 1, 7, 5),
+            3: (hi - 1, 7, hi, lo),
+            4: (lo + 2, 9),
+        }
+        payload = {"v": 1, "stops": {
+            str(sid): list(towers) for sid, towers in fingerprints.items()
+        }}
+        database = database_from_dict(payload)
+        assert database.as_dict() == fingerprints
+        matcher = SampleMatcher(database.as_dict(), MatchingConfig(cache_size=0))
+        oracle = OracleMatcher(fingerprints)
+        probes = [
+            (lo, 5), (hi, lo + 1, 7, 5), (hi - 1, 7, hi, lo), (lo + 2, 9),
+            (5, lo), (7, hi), (lo, hi, 5, 7), (lo + 1, lo + 2), (hi,),
+            (2 ** 70, lo, 5), (), (-1, -2, -3, lo, 5),
+        ]
+        assert matcher.match_many(probes) == [oracle.match(p) for p in probes]
+        assert matcher.match((lo, 5)).station_id == 1
+        assert SampleMatcher({1: (lo, 5)}).match((lo, 5)).score == 2.0
+
     def test_rejects_repeated_fingerprint_ids(self):
         """The common-id bound needs distinct fingerprint ids, as
         FingerprintDatabase already guarantees."""

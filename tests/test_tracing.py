@@ -1,10 +1,9 @@
 """Tests for the span-tracing subsystem (obs/tracing.py).
 
-Covers the tracer edge cases the issue calls out — the NULL_TRACER
-zero-allocation path, nested-span parent linkage, deterministic head
-sampling, exemplar eviction order — plus trace-context propagation,
-the Chrome trace-event export/validator/summarizer, and an end-to-end
-parallel-engine integration check.
+Covers the tracer edge cases — the NULL_TRACER zero-allocation path,
+nested-span parent linkage, deterministic head sampling, exemplar
+eviction order — plus the Chrome trace-event export/validator/
+summarizer, the CLI's sampling policy, and an end-to-end traced ingest.
 """
 
 import json
@@ -17,8 +16,6 @@ from repro.obs.tracing import (
     NULL_TRACER,
     SamplingPolicy,
     SpanRecord,
-    StageTiming,
-    TraceContext,
     Tracer,
     chrome_trace_document,
     format_trace_summary,
@@ -55,11 +52,34 @@ def batch(small_city, traffic, sampler, config):
 
 
 def make_record(name="matching", span_id="a.1", parent_id=None, start=0.0,
-                dur=0.01, pid=1, worker=None, **attrs):
+                dur=0.01, pid=1, **attrs):
     return SpanRecord(
         name=name, trace_id="t", span_id=span_id, parent_id=parent_id,
-        start_s=start, duration_s=dur, pid=pid, worker=worker, attrs=attrs,
+        start_s=start, duration_s=dur, pid=pid, attrs=attrs,
     )
+
+
+class FakeClock:
+    """Stands in for the tracer's ``time`` module: spans last exactly
+    as long as the test advances ``now``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def time(self):
+        return 0.0
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    from repro.obs import tracing
+
+    fake = FakeClock()
+    monkeypatch.setattr(tracing, "time", fake)
+    return fake
 
 
 class TestNullTracer:
@@ -73,22 +93,11 @@ class TestNullTracer:
     def test_records_nothing(self):
         with NULL_TRACER.span("matching", key="k"):
             pass
-        NULL_TRACER.record_span("shard_serialize", start_s=0.0,
-                                duration_s=1.0, bytes=10)
         assert NULL_TRACER.records() == []
         assert NULL_TRACER.stage_stats() == {}
         assert NULL_TRACER.exemplar_summaries() == []
         assert NULL_TRACER.wall_s == 0.0
         assert NULL_TRACER.chrome_trace()["traceEvents"] == []
-
-    def test_ipc_context_and_absorb_are_noops(self):
-        assert NULL_TRACER.ipc_context() is None
-        state = NULL_TRACER.export_trace_state()
-        assert state["records"] == [] and state["stages"] == {}
-        NULL_TRACER.absorb({"stages": {"matching": {"count": 3}},
-                            "records": [make_record()], "exemplars": [],
-                            "dropped": 2})
-        assert NULL_TRACER.stage_stats() == {}
         assert not NULL_TRACER.enabled
 
 
@@ -130,24 +139,6 @@ class TestAggregateBackCompat:
         assert tracer.wall_s == pytest.approx(outer_total)
 
 
-class TestStageTimingMerge:
-    def test_merge_folds_counts_and_extremes(self):
-        timing = StageTiming()
-        timing.record(0.2)
-        timing.merge({"count": 2, "total_s": 0.5, "min_s": 0.1, "max_s": 0.4})
-        assert timing.count == 3
-        assert timing.total_s == pytest.approx(0.7)
-        assert timing.min_s == pytest.approx(0.1)
-        assert timing.max_s == pytest.approx(0.4)
-
-    def test_merge_empty_is_noop(self):
-        timing = StageTiming()
-        timing.record(0.2)
-        timing.merge({"count": 0, "total_s": 0.0, "min_s": 0.0, "max_s": 0.0})
-        assert timing.count == 1
-        assert timing.min_s == pytest.approx(0.2)
-
-
 class TestParentLinkage:
     def test_nested_spans_link_to_parents(self):
         tracer = Tracer(SamplingPolicy())
@@ -162,29 +153,6 @@ class TestParentLinkage:
         assert records["matching"].parent_id == records["receive_trip"].span_id
         assert len({r.trace_id for r in records.values()}) == 1
         assert len({r.span_id for r in records.values()}) == 3
-
-    def test_record_span_parents_under_open_span(self):
-        tracer = Tracer(SamplingPolicy())
-        with tracer.span("ingest"):
-            tracer.record_span("shard_serialize", start_s=0.0,
-                               duration_s=0.001, bytes=42)
-        records = {r.name: r for r in tracer.records()}
-        serialize = records["shard_serialize"]
-        assert serialize.parent_id == records["ingest"].span_id
-        assert serialize.attrs["bytes"] == 42
-        # record_span folds into aggregates exactly like a with-span.
-        assert tracer.timing("shard_serialize").count == 1
-
-    def test_span_ids_unique_across_tracers_same_process(self):
-        # Regression: two tracers in one process (one per worker shard)
-        # must never emit colliding span ids, or the export dedup
-        # silently drops records.
-        a, b = Tracer(SamplingPolicy()), Tracer(SamplingPolicy())
-        with a.span("x"), b.span("y"):
-            pass
-        ids = [r.span_id for r in a.records()] + \
-              [r.span_id for r in b.records()]
-        assert len(ids) == len(set(ids)) == 2
 
 
 class TestSampling:
@@ -234,7 +202,8 @@ class TestSampling:
     def test_global_record_cap_evicts_oldest(self):
         tracer = Tracer(SamplingPolicy(max_records=3, slow_exemplars=0))
         for i in range(5):
-            tracer.record_span(f"s{i}", start_s=float(i), duration_s=0.001)
+            with tracer.span(f"s{i}"):
+                pass
         assert tracer.records_dropped == 2
         assert [r.name for r in tracer.records()] == ["s2", "s3", "s4"]
 
@@ -261,12 +230,12 @@ class TestExemplars:
         assert not store.offer(Exemplar(root=make_record()))
         assert store.items() == []
 
-    def test_exemplars_survive_head_sampling(self):
+    def test_exemplars_survive_head_sampling(self, clock):
         # Tail retention is unconditional: rate 0 still keeps slow trips.
         tracer = Tracer(SamplingPolicy(head_rate=0.0, slow_exemplars=2))
         for i, dur in enumerate([0.01, 0.05, 0.02]):
-            tracer.record_span("receive_trip", start_s=float(i),
-                               duration_s=dur, key=f"trip-{i}")
+            with tracer.span("receive_trip", key=f"trip-{i}"):
+                clock.now += dur
         summaries = tracer.exemplar_summaries()
         assert [s["key"] for s in summaries] == ["trip-1", "trip-2"]
         # And their records appear in the export even though head
@@ -286,65 +255,14 @@ class TestExemplars:
         assert set(summary["stages"]) == {"matching", "clustering"}
 
 
-class TestContextPropagation:
-    def test_worker_spans_stitch_under_coordinator(self):
-        coordinator = Tracer(SamplingPolicy())
-        with coordinator.span("ingest"):
-            ctx = coordinator.ipc_context()
-            ingest_id = coordinator._stack[-1].span_id
-        assert isinstance(ctx, TraceContext)
-        assert ctx.span_id == ingest_id
-
-        worker = Tracer(ctx.policy, context=ctx, worker="w-1")
-        with worker.span("prepare_trip", key="trip-1"):
-            with worker.span("matching"):
-                pass
-        state = worker.export_trace_state()
-        coordinator.absorb(state)
-
-        records = {r.name: r for r in coordinator.records()}
-        prepare = records["prepare_trip"]
-        assert prepare.trace_id == coordinator.trace_id
-        assert prepare.parent_id == ingest_id
-        assert prepare.worker == "w-1"
-        assert records["matching"].parent_id == prepare.span_id
-
-    def test_absorb_merges_aggregates_and_drop_counts(self):
-        coordinator = Tracer(SamplingPolicy())
-        with coordinator.span("matching"):
-            pass
-        coordinator.absorb({
-            "stages": {"matching": {"count": 2, "total_s": 1.0,
-                                    "min_s": 0.4, "max_s": 0.6}},
-            "records": [make_record(span_id="w.1")],
-            "exemplars": [],
-            "dropped": 5,
-        })
-        timing = coordinator.timing("matching")
-        assert timing.count == 3
-        assert timing.max_s == pytest.approx(0.6)
-        assert coordinator.records_dropped == 5
-        assert any(r.span_id == "w.1" for r in coordinator.records())
-
-    def test_export_state_is_picklable(self):
-        import pickle
-
-        tracer = Tracer(SamplingPolicy())
-        with tracer.span("prepare_trip", key="t"):
-            pass
-        state = pickle.loads(pickle.dumps(tracer.export_trace_state()))
-        assert state["stages"]["prepare_trip"]["count"] == 1
-        assert state["records"][0].name == "prepare_trip"
-
-
 class TestChromeExport:
     def records(self):
         return [
             make_record(name="ingest", span_id="a.1", start=1.0, dur=0.1),
-            make_record(name="shard_serialize", span_id="a.2",
-                        parent_id="a.1", start=1.01, dur=0.02, bytes=128),
-            make_record(name="matching", span_id="b.1", parent_id="a.1",
-                        start=1.05, dur=0.03, pid=2, worker="w-1"),
+            make_record(name="matching", span_id="a.2", parent_id="a.1",
+                        start=1.01, dur=0.02, samples=128),
+            make_record(name="receive_trip", span_id="a.3", parent_id="a.1",
+                        start=1.05, dur=0.03, key="trip-1"),
         ]
 
     def test_document_is_valid_and_normalized(self):
@@ -354,13 +272,13 @@ class TestChromeExport:
         assert min(e["ts"] for e in xs) == 0.0      # epoch-normalized
         assert all(e["dur"] >= 0 for e in xs)
         by_name = {e["name"]: e for e in xs}
-        assert by_name["shard_serialize"]["cat"] == "ipc"
         assert by_name["matching"]["cat"] == "compute"
-        assert by_name["matching"]["args"]["worker"] == "w-1"
-        assert by_name["shard_serialize"]["args"]["bytes"] == 128
+        assert by_name["receive_trip"]["cat"] == "trip"
+        assert by_name["ingest"]["cat"] == "pipeline"
+        assert by_name["matching"]["args"]["samples"] == 128
+        assert by_name["matching"]["args"]["parent_id"] == "a.1"
         metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        labels = {e["pid"]: e["args"]["name"] for e in metas}
-        assert labels == {1: "coordinator", 2: "w-1"}
+        assert [(e["pid"], e["args"]["name"]) for e in metas] == [(1, "repro")]
 
     def test_round_trips_through_json(self):
         doc = json.loads(json.dumps(chrome_trace_document(self.records())))
@@ -374,15 +292,17 @@ class TestChromeExport:
             {"name": "b", "ph": "X", "pid": 1, "tid": 1, "ts": 2, "dur": 1},
         ]}
         assert any("backwards" in p for p in validate_chrome_trace(bad_ts))
-        unmatched = {"traceEvents": [
-            {"name": "a", "ph": "E", "pid": 1, "tid": 1, "ts": 0},
+        bad_dur = {"traceEvents": [
+            {"name": "a", "ph": "X", "pid": 1, "tid": 1, "ts": 0, "dur": -1},
         ]}
-        assert any("without matching B" in p
-                   for p in validate_chrome_trace(unmatched))
-        dangling = {"traceEvents": [
-            {"name": "a", "ph": "B", "pid": 1, "tid": 1, "ts": 0},
-        ]}
-        assert any("unmatched B" in p for p in validate_chrome_trace(dangling))
+        assert any("bad dur" in p for p in validate_chrome_trace(bad_dur))
+        # The exporter writes only X and M events; begin/end pairs are
+        # reported, not interpreted.
+        for ph in ("B", "E"):
+            event = {"name": "a", "ph": ph, "pid": 1, "tid": 1, "ts": 0}
+            assert validate_chrome_trace({"traceEvents": [event]}) == [
+                f"event 0: unsupported ph {ph!r}"
+            ]
 
     def test_summary_self_time_and_split(self):
         doc = chrome_trace_document(self.records())
@@ -390,14 +310,32 @@ class TestChromeExport:
         # ingest (0.1s) minus its children (0.02 + 0.03) = 0.05 self.
         assert summary["by_name_s"]["ingest"]["self_s"] == \
             pytest.approx(0.05, abs=1e-9)
-        assert summary["ipc_s"] == pytest.approx(0.02, abs=1e-9)
-        assert summary["compute_s"] == pytest.approx(0.03, abs=1e-9)
-        assert summary["ipc_share"] == pytest.approx(0.4)
-        # The ingest root covers the whole trace wall on pid 1.
-        assert summary["coordinator_coverage"] == pytest.approx(1.0)
+        categories = summary["categories_s"]
+        assert set(categories) == {"pipeline", "compute", "trip"}
+        assert categories["pipeline"] == pytest.approx(0.05, abs=1e-9)
+        assert categories["compute"] == pytest.approx(0.02, abs=1e-9)
+        assert categories["trip"] == pytest.approx(0.03, abs=1e-9)
+        # The ingest root covers the whole trace wall.
+        assert summary["wall_s"] == pytest.approx(0.1, abs=1e-9)
+        assert summary["coverage"] == pytest.approx(1.0)
+        assert summary["slowest"] == [
+            {"name": "receive_trip", "key": "trip-1",
+             "duration_s": pytest.approx(0.03, abs=1e-9)},
+        ]
         text = format_trace_summary(summary)
-        assert "IPC vs compute" in text
-        assert "coordinator" in text
+        assert "coverage by top-level spans: 100.0%" in text
+        assert "self-time by category: pipeline 0.050s (50%)" in text
+        assert "receive_trip key=trip-1: 30.0 ms" in text
+
+    def test_coverage_counts_top_level_spans_only(self):
+        # Two 10 ms roots 40 ms apart: the gap between them is unnamed.
+        doc = chrome_trace_document([
+            make_record(name="ingest", span_id="a.1", start=0.0, dur=0.01),
+            make_record(name="matching", span_id="a.2", parent_id="a.1",
+                        start=0.0, dur=0.01),
+            make_record(name="publish", span_id="a.3", start=0.04, dur=0.01),
+        ])
+        assert summarize_chrome_trace(doc)["coverage"] == pytest.approx(0.4)
 
     def test_empty_trace_summarizes(self):
         summary = summarize_chrome_trace(chrome_trace_document([]))
@@ -432,14 +370,17 @@ class TestServerIntegration:
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"receive_trip", "matching", "clustering"} <= names
+        # One process, one trace: the document names its process once.
+        metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+        assert [e["name"] for e in metas] == ["process_name"]
+        pids = {e["pid"] for e in doc["traceEvents"]}
+        assert pids == {metas[0]["pid"]}
 
 
 class TestTraceCli:
     def make_trace_file(self, tmp_path):
         tracer = Tracer(SamplingPolicy())
         with tracer.span("ingest"):
-            tracer.record_span("shard_serialize", start_s=0.0,
-                               duration_s=0.001, bytes=64)
             with tracer.span("receive_trip", key="trip-1"):
                 with tracer.span("matching"):
                     pass
@@ -453,7 +394,8 @@ class TestTraceCli:
         path = self.make_trace_file(tmp_path)
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "IPC vs compute" in out
+        assert "coverage by top-level spans" in out
+        assert "receive_trip key=trip-1" in out
         assert main(["trace", "--validate", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
 
@@ -469,6 +411,24 @@ class TestTraceCli:
         assert main(["trace", str(bad)]) == 1
         assert "schema problem" in capsys.readouterr().err
 
+    def test_trace_out_policy_keeps_its_defaults(self):
+        from repro.cli import _trace_policy, build_parser
+
+        parser = build_parser()
+        assert _trace_policy(parser.parse_args(["simulate"])) is None
+        args = parser.parse_args(["simulate", "--trace-out", "t.json"])
+        assert _trace_policy(args) == SamplingPolicy(
+            head_rate=1.0, slow_exemplars=8, seed=0,
+            max_spans_per_trace=4096, max_records=200_000,
+        )
+        args = parser.parse_args([
+            "campaign", "--trace-out", "t.json",
+            "--trace-sample", "0.25", "--trace-exemplars", "3",
+        ])
+        assert _trace_policy(args) == SamplingPolicy(
+            head_rate=0.25, slow_exemplars=3,
+        )
+
     def test_stats_wall_share_and_hint(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -482,7 +442,7 @@ class TestTraceCli:
             },
             "metrics": {},
             "exemplars": [
-                {"name": "receive_trip", "key": "trip-1", "worker": None,
+                {"name": "receive_trip", "key": "trip-1",
                  "duration_s": 0.2, "stages": {"matching": 0.15}},
             ],
         }
@@ -505,8 +465,7 @@ class TestTraceCli:
                                     "max_s": 0.1}},
             "metrics": {},
             "exemplars": [{"name": "receive_trip", "key": "t",
-                           "worker": None, "duration_s": 0.03,
-                           "stages": {}}],
+                           "duration_s": 0.03, "stages": {}}],
         }
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(document))

@@ -3,12 +3,14 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.fingerprint import FingerprintDatabase
 from repro.core.traffic_map import TrafficMapEstimator
 from repro.phone.cellular import CellularSample
 from repro.phone.trip_recorder import TripUpload
+from repro.radio.towers import check_cell_ids
 from repro.wire import (
     CAMPAIGN_HORIZON_S,
     database_from_dict,
@@ -169,6 +171,45 @@ class TestSampleTimeInvariant:
                 CellularSample(time_s=10.0, tower_ids=(5,)),
                 CellularSample(time_s=float("nan"), tower_ids=(5,)),
             ))
+
+
+#: Cell ids the one rule (``repro.radio.towers.check_cell_ids``) rejects.
+BAD_CELL_IDS = [
+    2 ** 70, 2 ** 63, -(2 ** 63) - 1, 3.7, 3.0, "12", True, False, None,
+    np.int64(6),
+]
+
+
+class TestCellIdRule:
+    """Every entry point that takes cell ids applies the same rule."""
+
+    @pytest.mark.parametrize("bad", BAD_CELL_IDS, ids=repr)
+    def test_trip_decode_rejects(self, bad):
+        payload = trip_to_dict(make_upload())
+        payload["samples"][0]["cells"] = [5, bad]
+        with pytest.raises(ValueError):
+            trip_from_dict(payload)
+
+    @pytest.mark.parametrize("bad", BAD_CELL_IDS, ids=repr)
+    def test_set_fingerprint_rejects(self, bad):
+        db = FingerprintDatabase()
+        with pytest.raises(ValueError):
+            db.set_fingerprint(1, (5, bad))
+        assert 1 not in db
+
+    @pytest.mark.parametrize("bad", BAD_CELL_IDS, ids=repr)
+    def test_sample_built_in_code_rejects(self, bad):
+        with pytest.raises(ValueError):
+            CellularSample(time_s=1.0, tower_ids=(5, bad))
+
+    def test_edges_pass_everywhere(self):
+        edges = (-(2 ** 63), 0, 2 ** 63 - 1)
+        assert check_cell_ids(list(edges)) == edges
+        assert CellularSample(time_s=1.0, tower_ids=edges).tower_ids == edges
+        db = FingerprintDatabase()
+        db.set_fingerprint(1, list(edges))
+        assert db.fingerprint(1) == edges
+        assert CellularSample(time_s=1.0, tower_ids=()).tower_ids == ()
 
 
 class TestDatabaseCodec:
