@@ -2,15 +2,10 @@
 
 One campaign's uploads are generated once, then their cellular samples
 are re-matched upload by upload (``match_many``, exactly as ingest
-calls it) under two configurations of the one production matcher:
-
-* ``plan``       — incidence plan + pruned kernel, memo off
-                   (``cache_size=0``);
-* ``plan+memo``  — the same plus the LRU verdict memo (the default).
-
-Each configuration runs ``PASSES`` passes with a *fresh* matcher, so
-every pass pays the cold-memo cost a new server pays; the report keeps
-the first and the best pass.  Before any number is published, every
+calls it) by the one production matcher: incidence plan, pruned
+kernel.  It runs ``PASSES`` passes, each with a fresh matcher as a new
+server builds it; the report keeps the first and the best pass.
+Before any number is published, every
 verdict (station, score bits, common ids) and the logical candidate-pool
 accounting (``matcher_pairs_scored``) are compared exactly against
 :class:`repro.testkit.OracleMatcher`'s whole-database scan — the bench
@@ -32,7 +27,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -45,12 +39,6 @@ from repro.testkit import OracleMatcher                   # noqa: E402
 from repro.util.units import parse_hhmm                   # noqa: E402
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
-
-#: Matcher configurations under test, in reporting order.
-MODES: Tuple[Tuple[str, Dict], ...] = (
-    ("plan", {"cache_size": 0}),
-    ("plan+memo", {}),
-)
 
 PASSES = 3
 
@@ -68,7 +56,7 @@ def _oracle(world: World, batches) -> Tuple[Dict, float]:
     return expected, time.perf_counter() - start
 
 
-def _check(mode: str, batches, results, registry, expected) -> None:
+def _check(batches, results, registry, expected) -> None:
     """Exact verdicts and pool accounting, or an AssertionError."""
     wrong = 0
     pairs = 0
@@ -83,23 +71,22 @@ def _check(mode: str, batches, results, registry, expected) -> None:
     counted = registry.counter("matcher_pairs_scored").value
     if wrong or counted != pairs:
         raise AssertionError(
-            f"{mode} diverged from the oracle: {wrong} verdicts differ, "
+            f"the matcher diverged from the oracle: {wrong} verdicts differ, "
             f"matcher_pairs_scored {counted} != oracle pools {pairs}"
         )
 
 
-def _bench(world: World, batches, overrides: Dict, mode: str, expected):
-    """PASSES cold sweeps, each with a fresh matcher, checked each time."""
-    config = replace(world.config.matching, **overrides)
+def _bench(world: World, batches, expected) -> List[float]:
+    """PASSES sweeps, each with a fresh matcher, checked each time."""
     pass_seconds: List[float] = []
     for _ in range(PASSES):
         registry = MetricsRegistry()
-        matcher = SampleMatcher(world.database.as_dict(), config,
-                                registry=registry)
+        matcher = SampleMatcher(world.database.as_dict(),
+                                world.config.matching, registry=registry)
         start = time.perf_counter()
         results = [matcher.match_many(batch) for batch in batches]
         pass_seconds.append(time.perf_counter() - start)
-        _check(mode, batches, results, registry, expected)
+        _check(batches, results, registry, expected)
     return pass_seconds
 
 
@@ -112,18 +99,15 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
     samples = sum(len(b) for b in batches)
     expected, oracle_s = _oracle(world, batches)
 
-    rows: List[Dict] = []
-    for mode, overrides in MODES:
-        pass_seconds = _bench(world, batches, overrides, mode, expected)
-        best = min(pass_seconds)
-        rows.append({
-            "mode": mode,
-            "pass_seconds": [round(s, 6) for s in pass_seconds],
-            "cold_s": round(pass_seconds[0], 6),
-            "best_s": round(best, 6),
-            "samples_per_s": round(samples / best, 1),
-            "us_per_sample": round(1e6 * best / samples, 2),
-        })
+    pass_seconds = _bench(world, batches, expected)
+    best = min(pass_seconds)
+    row = {
+        "pass_seconds": [round(s, 6) for s in pass_seconds],
+        "first_s": round(pass_seconds[0], 6),
+        "best_s": round(best, 6),
+        "samples_per_s": round(samples / best, 1),
+        "us_per_sample": round(1e6 * best / samples, 2),
+    }
 
     document = {
         "bench": "matching",
@@ -141,7 +125,7 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
                   "OracleMatcher full scan, exact, on every pass",
         "oracle_s": round(oracle_s, 3),
         "host_cpu_cores": os.cpu_count() or 1,
-        "results": rows,
+        "result": row,
     }
 
     os.makedirs(REPORT_DIR, exist_ok=True)
@@ -154,15 +138,11 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         f"uploads {len(batches)}  samples {samples}  "
         f"unique sequences {len(expected)}  stops {len(world.database)}  "
         f"host cores {document['host_cpu_cores']}",
-        f"{'mode':<10} {'cold (ms)':>10} {'best (ms)':>10} "
+        f"{'first (ms)':>10} {'best (ms)':>10} "
         f"{'samples/s':>10} {'us/sample':>10}",
+        f"{1e3 * row['first_s']:>10.1f} {1e3 * row['best_s']:>10.1f} "
+        f"{row['samples_per_s']:>10.0f} {row['us_per_sample']:>10.1f}",
     ]
-    for row in rows:
-        lines.append(
-            f"{row['mode']:<10} {1e3 * row['cold_s']:>10.1f} "
-            f"{1e3 * row['best_s']:>10.1f} {row['samples_per_s']:>10.0f} "
-            f"{row['us_per_sample']:>10.1f}"
-        )
     lines.append(f"parity  every pass == oracle full scan "
                  f"({oracle_s:.1f} s for the unique sequences)")
     table = "\n".join(lines)

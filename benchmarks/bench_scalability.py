@@ -1,15 +1,16 @@
-"""Scalability (§I, §V) — backend throughput as the deployment grows.
+"""Scalability (§I, §V) — matching cost as the database grows.
 
 The paper highlights "system scalability to support wider monitoring
-field" as a design consideration: the backend must keep up as more
-riders upload and as the fingerprint database grows to cover more of
-the city.  This bench measures
+field" as a design consideration: the backend must keep up as the
+fingerprint database grows to cover more of the city.  This bench
+ingests a small paper-scale workload (most trips must map) and measures
+per-sample matching cost as the database grows from 50 to all stops,
+within one run on one host: the incidence plan keeps candidates local,
+so the cost should grow far slower than the database.
 
-* end-to-end trip ingestion throughput (trips/s and samples/s) on the
-  paper-scale database, and
-* per-sample matching cost as the database grows from 50 to all stops
-  (the inverted index keeps candidates local, so the cost should grow
-  far slower than the database).
+Ingest throughput is not measured here: the repo benchmark
+(``yardstick/run.py``) carries it as ``trips_per_s`` on ``sim_rush``
+and ``ingest_durable``, before and after, on one host.
 """
 
 import itertools
@@ -72,17 +73,10 @@ def matcher_cost_us(world, db_size, probes):
     return 1e6 * seconds / (loops * len(probes))
 
 
-def test_scalability(benchmark, paper_world):
+def test_scalability(paper_world):
     uploads = build_workload(paper_world)
     n_samples = sum(len(u.samples) for u in uploads)
-
-    import time
-
-    start = time.perf_counter()
-    server = benchmark.pedantic(
-        ingest_all, args=(paper_world, uploads), rounds=1, iterations=1
-    )
-    elapsed = time.perf_counter() - start
+    server = ingest_all(paper_world, uploads)
 
     probes = [
         s.tower_ids for upload in uploads[:20] for s in upload.samples
@@ -92,8 +86,7 @@ def test_scalability(benchmark, paper_world):
     rows = [
         ["uploads ingested", len(uploads)],
         ["samples ingested", n_samples],
-        ["throughput (trips/s)", round(len(uploads) / elapsed, 1)],
-        ["throughput (samples/s)", round(n_samples / elapsed, 0)],
+        ["trips mapped", server.stats.trips_mapped],
     ]
     for size in DB_SIZES:
         rows.append([f"matching cost @ {size}-stop DB (us/sample)",
@@ -103,14 +96,11 @@ def test_scalability(benchmark, paper_world):
         render_table(
             ["metric", "value"],
             rows,
-            title="Backend scalability — ingestion throughput and DB growth",
+            title="Backend scalability — matching cost and DB growth",
         ),
     )
 
     assert server.stats.trips_mapped > 0.7 * len(uploads)
-    # A single Python process keeps up with a whole city's upload stream:
-    # the paper's 22 participants produced a few hundred trips *per day*.
-    assert len(uploads) / elapsed > 20.0
     # Sub-linear matching growth: 3.4x the stops costs well under 3.4x.
     growth = per_sample[DB_SIZES[-1]] / per_sample[DB_SIZES[0]]
     assert growth < 2.5

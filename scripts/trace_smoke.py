@@ -5,8 +5,9 @@ Runs a tiny campaign with ``--trace-out``, then asserts the exported
 document is a well-formed Chrome trace-event file (required keys,
 monotonic timestamps, only X and M events, via
 :func:`validate_chrome_trace`), that the pipeline spans are present in
-one trace, that top-level spans cover the trace wall, and that ``repro
-trace`` renders a summary.  The trace lands in
+one trace, that no span exports under the fallback category ``other``
+(every span name needs a ``SPAN_CATEGORIES`` entry), that top-level
+spans cover the trace wall, and that ``repro trace`` renders a summary.  The trace lands in
 ``benchmarks/reports/trace_smoke.json`` for CI to upload — load it in
 Perfetto / ``chrome://tracing`` to eyeball a failing run — and the
 run's ``--metrics-out`` document, with its slow-trip exemplars, in
@@ -67,6 +68,8 @@ def check_document() -> dict:
     names = {e["name"] for e in events}
     missing = REQUIRED_SPANS - names
     assert not missing, f"accounting spans missing: {sorted(missing)}"
+    uncategorized = sorted({e["name"] for e in events if e["cat"] == "other"})
+    assert not uncategorized, f"spans without a category: {uncategorized}"
 
     trace_ids = {e["args"]["trace_id"] for e in events}
     assert len(trace_ids) == 1, f"split traces: {sorted(trace_ids)}"

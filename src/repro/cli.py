@@ -609,27 +609,6 @@ def _document_from_families(families: dict) -> dict:
     }
 
 
-def _match_memo_line(counters: dict) -> Optional[str]:
-    """How well the PR-5 match-index memo worked, from its counters.
-
-    Logical lookups split into cache hits (memo served the match) and
-    misses (a physical candidate-pruned match ran).  Absent counters
-    mean the document predates the memo (or matching never ran): no line.
-    """
-    hits = counters.get("match_cache_hits_total")
-    misses = counters.get("match_cache_misses_total")
-    if hits is None and misses is None:
-        return None
-    hits = int(hits or 0)
-    misses = int(misses or 0)
-    logical = hits + misses
-    if not logical:
-        return None
-    ratio = hits / logical
-    return (f"match memo: {logical} logical lookups = {misses} physical "
-            f"matches + {hits} cache hits ({100 * ratio:.1f}% hit-ratio)")
-
-
 def _slow_trip_hint(document: dict, threshold_ms: float) -> Optional[str]:
     """A one-line tracing pointer when slow-trip exemplars breach the bar.
 
@@ -739,9 +718,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         sections.append(hint)
 
     metrics = document.get("metrics", {})
-    memo_line = _match_memo_line(metrics.get("counters", {}))
-    if memo_line:
-        sections.append(memo_line)
     extra_counters = {
         name: value
         for name, value in metrics.get("counters", {}).items()

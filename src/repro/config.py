@@ -43,19 +43,18 @@ class TripRecorderConfig:
 
 @dataclass(frozen=True)
 class MatchingConfig:
-    """Modified Smith-Waterman fingerprint matching (§III-C, Table I)."""
+    """Modified Smith-Waterman fingerprint matching (§III-C, Table I).
+
+    A verdict is a pure function of the RSS-ordered cell-id sequence and
+    these four numbers.  The matcher scores every upload afresh and
+    keeps no memo of earlier verdicts: with the planned, pruned kernel a
+    memo no longer paid for its heap (DESIGN §10).
+    """
 
     match_score: float = 1.0
     mismatch_penalty: float = 0.3       # swept 0.1..0.9; 0.3 best
     gap_penalty: float = 0.3
     accept_threshold: float = 2.0       # γ = 2 (from Fig. 2(b) measurement)
-    #: LRU memo entries for repeat sequences (0 disables the memo).
-    #: Sized from the reuse distances of the benchmark stream
-    #: (``benchmarks/bench_memo_reuse.py``): the longest is ~10.4k
-    #: sequences, so 16384 entries reach the one-pass hit ceiling
-    #: (29.8 % of samples; 4096 entries hit 23.8 %) for ~2 MB more heap.
-    #: The memo saves ~6 % of matching time there.
-    cache_size: int = 16384
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ _EXPORTS: Dict[str, str] = {
     "FusedSpeed": "fusion",
     "PreparedTrip": "ingest",
     "prepare_trip": "ingest",
-    "CachedMatch": "match_index",
-    "MatchCache": "match_index",
     "MatchIndex": "match_index",
     "canonical_key": "match_index",
     "MatchResult": "matching",

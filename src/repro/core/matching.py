@@ -26,12 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import MatchingConfig
-from repro.core.match_index import (
-    CachedMatch,
-    MatchCache,
-    MatchIndex,
-    canonical_key,
-)
+from repro.core.match_index import MatchIndex, canonical_key
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
 
 #: Float64 cells per kernel chunk (~16 MB of DP buffer): a hostile upload
@@ -226,9 +221,8 @@ class SampleMatcher:
     A batch (one upload) is answered in four steps, none of which can
     change a verdict (see :mod:`repro.core.match_index`):
 
-    * memoization — repeat sequences are answered from a bounded LRU
-      (``config.cache_size``; ``0`` disables it), and repeats within the
-      batch are scored once;
+    * dedupe — a verdict is a pure function of the sequence, so repeats
+      within the batch are scored once;
     * one product — :meth:`MatchIndex.common_counts` gives every
       (sample, station) pair's common-id count for all pending samples;
     * pruning — only pairs with at least :func:`min_common_ids` common
@@ -237,11 +231,12 @@ class SampleMatcher:
       :func:`_sw_kernel` together, and the tie-break reads the common-id
       counts of the same product.
 
-    The ``matcher_*`` metrics count *logical* work — the candidate pool
-    of stations sharing a cell id, as a scan without cache or pruning
-    would see it — so they stay a deterministic function of the upload
-    stream (the golden trace snapshots them).  Physical memo and index
-    behaviour is reported by the ``match_*`` families instead.
+    The ``matcher_*`` metrics count every sample and its whole candidate
+    pool (the stations sharing a cell id, as a scan without dedupe or
+    pruning would see it), so they stay a deterministic function of the
+    upload stream (the golden trace snapshots them).  The share of the
+    database pruned is ``1 - matcher_pairs_scored / (matcher_samples_total
+    × fingerprint_db_stops)``.
     """
 
     def __init__(
@@ -282,8 +277,6 @@ class SampleMatcher:
             "matcher_stop_matches_total", ("stop",),
             help="accepted samples per matched bus stop",
         )
-        self._registry = reg
-        self._cache = MatchCache(self.config.cache_size, registry=reg)
         self._load(fingerprints)
 
     def _load(self, fingerprints: Dict[int, Tuple[int, ...]]) -> None:
@@ -300,7 +293,7 @@ class SampleMatcher:
                     f"fingerprint of station {sid} repeats a tower id"
                 )
         self._fingerprints = fingerprints
-        self._index = MatchIndex(fingerprints, registry=self._registry)
+        self._index = MatchIndex(fingerprints)
         stations = self._index.station_ids
         width = max(1, max(len(t) for t in fingerprints.values()))
         # Scores depend only on which ids are equal, so rows hold each
@@ -315,20 +308,9 @@ class SampleMatcher:
             matrix[row, : len(towers)] = [rank[t] for t in towers]
         self._matrix = matrix
 
-    @property
-    def cache(self) -> MatchCache:
-        """The verdict memo (disabled when ``config.cache_size == 0``)."""
-        return self._cache
-
     def rebuild(self, fingerprints: Dict[int, Tuple[int, ...]]) -> None:
-        """Swap in a rebuilt fingerprint database.
-
-        Rebuilds the incidence index and invalidates the memo — a cached
-        verdict against the old database would otherwise be served
-        against the new one.
-        """
+        """Swap in a rebuilt fingerprint database (index and matrix)."""
         self._load(fingerprints)
-        self._cache.invalidate()
 
     def candidate_stations(self, tower_ids: Sequence[int]) -> set:
         """Stops sharing at least one cell id with the sample.
@@ -339,7 +321,7 @@ class SampleMatcher:
         return self._index.candidates(tower_ids)
 
     def _observe_verdict(self, result: MatchResult, candidates: int) -> None:
-        """Record one sample's logical matcher_* accounting."""
+        """Record one sample's matcher_* accounting."""
         self._m_samples.inc()
         self._m_candidates.observe(candidates)
         self._m_pairs.inc(candidates)
@@ -350,8 +332,10 @@ class SampleMatcher:
         else:
             self._c_rejected_verdict.inc()
 
-    def _scan(self, pending: List[Tuple[int, ...]]) -> List[CachedMatch]:
-        """Verdicts for unique uncached keys, in ``pending`` order."""
+    def _scan(
+        self, pending: List[Tuple[int, ...]]
+    ) -> List[Tuple[MatchResult, int]]:
+        """(verdict, candidate pool) per unique key, in ``pending`` order."""
         n_max = max(len(key) for key in pending)
         rank = self._index.rank
         queries = np.full((len(pending), max(n_max, 1)), -1, dtype=np.int64)
@@ -360,9 +344,7 @@ class SampleMatcher:
         common = self._index.common_counts(queries)          # (P, S)
         pools = np.count_nonzero(common, axis=1).tolist()
         owners, ordinals = np.nonzero(common >= self._need)
-        entries = [
-            CachedMatch(result=_REJECTED, candidates=pool) for pool in pools
-        ]
+        entries = [(_REJECTED, pool) for pool in pools]
         if not owners.size:
             return entries
         scores = _sw_kernel(queries[owners], self._matrix[ordinals], self.config)
@@ -378,13 +360,13 @@ class SampleMatcher:
         stations = self._index.station_ids
         for pick in firsts.tolist():
             row = int(owners[pick])
-            entries[row] = CachedMatch(
-                result=MatchResult(
+            entries[row] = (
+                MatchResult(
                     station_id=int(stations[ordinals[pick]]),
                     score=float(scores[pick]),
                     common_ids=int(shared[pick]),
                 ),
-                candidates=pools[row],
+                pools[row],
             )
         return entries
 
@@ -397,41 +379,20 @@ class SampleMatcher:
     ) -> List[MatchResult]:
         """Match a batch of samples (one upload) in one vectorised pass.
 
-        Memoized sequences are answered from the cache, duplicates
-        within the batch are scored once, and the remaining unique
-        sequences are planned by one incidence product and scored by
-        one kernel call.  Results and accounting equal matching the
-        samples one by one.
+        Duplicates within the batch are scored once, and the unique
+        sequences are planned by one incidence product and scored by one
+        kernel call.  Results and accounting equal matching the samples
+        one by one.
         """
         if not samples:
             return []
         keys = [canonical_key(sample) for sample in samples]
-        verdicts: Dict[Tuple[int, ...], CachedMatch] = {}
-        pending: List[Tuple[int, ...]] = []    # unique uncached keys, in order
-        for key in keys:
-            if key in verdicts:
-                continue
-            entry = verdicts[key] = self._cache.peek(key)
-            if entry is None:
-                pending.append(key)
-        if pending:
-            for key, entry in zip(pending, self._scan(pending)):
-                verdicts[key] = entry
-                self._cache.put(key, entry)
-
-        results = [verdicts[key].result for key in keys]
+        unique = list(dict.fromkeys(keys))
+        verdicts = dict(zip(unique, self._scan(unique)))
         if self._observing:
-            # Replay serial-equivalent accounting: had the samples
-            # arrived one by one, only the *first* occurrence of each
-            # uncached sequence would have missed the memo.
-            first_scan = set(pending)
             for key in keys:
-                self._cache.record_lookup(key not in first_scan)
-                first_scan.discard(key)
-                self._observe_verdict(
-                    verdicts[key].result, verdicts[key].candidates
-                )
-        return results
+                self._observe_verdict(*verdicts[key])
+        return [verdicts[key][0] for key in keys]
 
     def scores(self, tower_ids: Sequence[int]) -> Dict[int, float]:
         """Similarity against every stop (analysis helper; no threshold)."""

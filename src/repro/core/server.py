@@ -285,11 +285,10 @@ class BackendServer:
     def rebuild_fingerprints(self, database: FingerprintDatabase) -> None:
         """Adopt a re-surveyed (or bootstrapped) fingerprint database.
 
-        Rebuilds the matcher's inverted candidate index and invalidates
-        its verdict memo — a cached verdict against the old database
-        must never be served against the new one — then refreshes the
-        ``fingerprint_db_stops`` gauge.  Trips already ingested are not
-        reprocessed; the duplicate ledger and fused map are untouched.
+        Rebuilds the matcher's incidence index and fingerprint matrix,
+        then refreshes the ``fingerprint_db_stops`` gauge.  Trips already
+        ingested are not reprocessed; the duplicate ledger and fused map
+        are untouched.
         """
         self.database = database
         self.matcher.rebuild(database.as_dict())
@@ -320,11 +319,16 @@ class BackendServer:
         # on: head-sampled or kept as a slow-trip exemplar, subtree and
         # all.  With NULL_TRACER (or no policy) it costs nothing extra.
         with self.tracer.span("receive_trip", key=upload.trip_key):
-            if upload.trip_key in self._seen_trip_keys:
-                prepared = PreparedTrip.skipped(upload)
-            else:
-                prepared = self.prepare_upload(upload, keep_matches=keep_matches)
+            prepared = self._prepare_unseen(upload, keep_matches=keep_matches)
             return self.apply_prepared(prepared, now_s=now_s, upload=upload)
+
+    def _prepare_unseen(
+        self, upload: TripUpload, *, keep_matches: bool = False
+    ) -> PreparedTrip:
+        """:meth:`prepare_upload`, or a skipped stub for a seen trip key."""
+        if upload.trip_key in self._seen_trip_keys:
+            return PreparedTrip.skipped(upload)
+        return self.prepare_upload(upload, keep_matches=keep_matches)
 
     def prepare_upload(
         self, upload: TripUpload, *, keep_matches: bool = False
@@ -332,8 +336,7 @@ class BackendServer:
         """The pure pipeline half for one upload (match → cluster → map).
 
         Reads only immutable server state (fingerprint database, route
-        constraint, configs) plus the matcher's verdict memo; see
-        :func:`repro.core.ingest.prepare_trip`.
+        constraint, configs); see :func:`repro.core.ingest.prepare_trip`.
         """
         return prepare_trip(
             upload,
@@ -450,25 +453,13 @@ class BackendServer:
         return report
 
     def receive_trips(self, uploads: Sequence[TripUpload]) -> List[TripReport]:
-        """Process a batch of uploads in time order."""
-        return self.ingest_many(uploads)
-
-    def ingest_many(
-        self,
-        uploads: Sequence[TripUpload],
-        *,
-        keep_matches: bool = False,
-    ) -> List[TripReport]:
         """Process a batch of uploads in start-time order.
 
         Identical to calling :meth:`receive_trip` per upload, sorted by
         start time (empty uploads first).
         """
         ordered = sorted(uploads, key=lambda u: u.start_s if u.samples else 0.0)
-        return [
-            self.receive_trip(upload, keep_matches=keep_matches)
-            for upload in ordered
-        ]
+        return [self.receive_trip(upload) for upload in ordered]
 
     def reset_metrics(self) -> None:
         """Zero every counter for a fresh run in the same process.
@@ -620,11 +611,9 @@ class BackendServer:
         self._replaying = True
         try:
             if kind == "trip":
-                upload = wire.trip_from_dict(record["trip"])
-                if upload.trip_key in self._seen_trip_keys:
-                    prepared = PreparedTrip.skipped(upload)
-                else:
-                    prepared = self.prepare_upload(upload)
+                prepared = self._prepare_unseen(
+                    wire.trip_from_dict(record["trip"])
+                )
                 self._apply_prepared_inner(prepared, now_s=record.get("now_s"))
             elif kind == "publish":
                 self.publish(float(record["at_s"]))
@@ -784,7 +773,3 @@ class BackendServer:
         if best is None:
             return None, []
         return best[1], best[2]
-
-    def _segments_between(self, x: int, y: int) -> List[SegmentId]:
-        """Back-compat shim: just the segments of :meth:`_route_between`."""
-        return self._route_between(x, y)[1]

@@ -69,22 +69,26 @@ __all__ = [
 ]
 
 
-#: Cost category per well-known span name, exported as the Chrome event
-#: ``cat`` field and summed (by self-time) in the ``repro trace``
-#: summary.  ``compute`` names are the pure pipeline stages; ``sim`` is
-#: the synthetic-world simulator; ``trip`` and ``pipeline`` are
+#: Cost category of every span name ``repro`` opens, exported as the
+#: Chrome event ``cat`` field and summed (by self-time) in the ``repro
+#: trace`` summary.  ``compute`` names are the pipeline stages and the
+#: map publish; ``sim`` is the synthetic-world simulator; ``store`` is
+#: the durable state tier's I/O; ``trip`` and ``pipeline`` are
 #: structural parents whose time lives in children.
 SPAN_CATEGORIES: Dict[str, str] = {
     "matching": "compute",
     "clustering": "compute",
     "trip_mapping": "compute",
     "leg_estimation": "compute",
-    "map_update": "compute",
+    "publish": "compute",
     "bus_simulation": "sim",
     "phone_recording": "sim",
     "uplink": "sim",
+    "store_wal_append": "store",
+    "store_snapshot": "store",
     "receive_trip": "trip",
     "ingest": "pipeline",
+    "campaign_day": "pipeline",
 }
 
 

@@ -59,9 +59,9 @@ __all__ = [
 
 
 def _check_matching(rng: np.random.Generator, tag: str) -> List[str]:
-    """The production matcher (memo, incidence plan, pruned kernel) vs
-    the oracle's whole-database scan, per sample and batched — the
-    batch pass replays sequences the per-sample pass already cached."""
+    """The production matcher (incidence plan, pruned kernel) vs the
+    oracle's whole-database scan, per sample and batched — the batch
+    pass scores again every sequence the per-sample pass already saw."""
     scenario = random_matching_scenario(rng)
     optimized = SampleMatcher(scenario.fingerprints, scenario.config)
     oracle = OracleMatcher(scenario.fingerprints, scenario.config)

@@ -2,7 +2,7 @@
 
 The contract under test: the pure ``prepare_trip`` half followed by the
 single-writer ``apply_prepared`` half equals ``receive_trip``, and
-``ingest_many`` equals per-upload ingest, duplicates included.
+``receive_trips`` equals per-upload ingest, duplicates included.
 """
 
 import dataclasses
@@ -103,7 +103,7 @@ class TestIngestMany:
         batched = make_server(small_city, database, config)
         ordered = sorted(doped, key=lambda u: u.start_s)
         expected = [one_by_one.receive_trip(u) for u in ordered]
-        got = batched.ingest_many(doped)
+        got = batched.receive_trips(doped)
         assert [report_key(r) for r in got] == [
             report_key(r) for r in expected
         ]

@@ -1,23 +1,18 @@
-"""Candidate index and verdict memo: pruning, LRU behavior, invalidation.
+"""Candidate index and the memo-free matcher around it.
 
-Exactness of the pruned/memoized matcher is proven elsewhere (the
-differential oracles, the property suite, the golden trace); this file
-pins the *mechanics* — what the index returns, how the LRU rotates and
-evicts, and which metrics move on hits/misses/invalidations without
-disturbing the logical ``matcher_*`` accounting.
+Exactness of the pruned matcher is proven elsewhere (the differential
+oracles, the property suite, the golden trace); this file pins the
+*mechanics* — what the index returns, that repeats are scored again
+(the matcher keeps no verdict memo) and that every ``matcher_*``
+counter counts each sample occurrence.  The class names date from when
+a verdict memo sat in front of the matcher.
 """
 
 import pytest
 
-from repro.config import MatchingConfig, SystemConfig
+from repro.config import MatchingConfig
 from repro.core import BackendServer, SampleMatcher
-from repro.core.match_index import (
-    CachedMatch,
-    MatchCache,
-    MatchIndex,
-    canonical_key,
-)
-from repro.core.matching import MatchResult
+from repro.core.match_index import MatchIndex, canonical_key
 from repro.obs.metrics import MetricsRegistry
 from repro.testkit import OracleMatcher
 
@@ -27,10 +22,6 @@ FINGERPRINTS = {
     3: (20, 21, 22),
     4: (-5, -6, 30),            # negative ids are legal index keys
 }
-
-
-def _result(station=1, score=3.0, common=2):
-    return MatchResult(station_id=station, score=score, common_ids=common)
 
 
 class TestCanonicalKey:
@@ -69,95 +60,76 @@ class TestMatchIndex:
             MatchIndex({})
 
     def test_candidate_and_prune_metrics(self):
+        """The pools and the pruned share come from ``matcher_*`` alone:
+        the index itself records nothing."""
         registry = MetricsRegistry()
-        index = MatchIndex(FINGERPRINTS, registry=registry)
-        index.candidates([12])       # 2 of 4 stations → ratio 0.5
-        index.candidates([99])       # 0 of 4 → cumulative ratio 0.75
+        matcher = SampleMatcher(FINGERPRINTS, registry=registry)
+        matcher.match_many([[12], [99]])    # pools of 2 and 0 of 4 stations
         snapshot = registry.as_dict()
-        assert snapshot["histograms"]["match_index_candidates"]["count"] == 2
-        assert snapshot["gauges"]["match_prune_ratio"] == pytest.approx(0.75)
-
-
-class TestMatchCacheLRU:
-    def test_eviction_follows_recency_not_insertion(self):
-        cache = MatchCache(2)
-        entry = CachedMatch(_result(), candidates=2)
-        cache.put((1,), entry)
-        cache.put((2,), entry)
-        assert cache.get((1,)) is entry      # refresh (1,): now (2,) is LRU
-        cache.put((3,), entry)               # evicts (2,)
-        assert cache.keys() == ((1,), (3,))
-        assert cache.get((2,)) is None
-
-    def test_put_refreshes_existing_key(self):
-        cache = MatchCache(2)
-        first = CachedMatch(_result(score=1.0), candidates=1)
-        second = CachedMatch(_result(score=2.0), candidates=1)
-        cache.put((1,), first)
-        cache.put((2,), first)
-        cache.put((1,), second)              # re-put refreshes, no growth
-        assert len(cache) == 2
-        assert cache.keys() == ((2,), (1,))
-        assert cache.get((1,)) is second
-
-    def test_zero_maxsize_disables_storage_and_miss_metric(self):
-        registry = MetricsRegistry()
-        cache = MatchCache(0, registry=registry)
-        assert not cache.enabled
-        cache.put((1,), CachedMatch(_result(), candidates=1))
-        assert cache.get((1,)) is None
-        assert len(cache) == 0
-        counters = registry.as_dict()["counters"]
-        assert counters["match_cache_misses_total"] == 0
-
-    def test_negative_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            MatchCache(-1)
-
-    def test_hit_miss_eviction_counters(self):
-        registry = MetricsRegistry()
-        cache = MatchCache(2, registry=registry)
-        entry = CachedMatch(_result(), candidates=1)
-        assert cache.get((1,)) is None       # miss
-        cache.put((1,), entry)
-        cache.put((2,), entry)
-        assert cache.get((1,)) is entry      # hit
-        cache.put((3,), entry)               # evicts (2,)
-        snapshot = registry.as_dict()
+        assert snapshot["histograms"]["matcher_candidates_per_sample"][
+            "count"
+        ] == 2
         counters = snapshot["counters"]
-        assert counters["match_cache_misses_total"] == 1
-        assert counters["match_cache_hits_total"] == 1
-        assert counters["match_cache_evictions_total"] == 1
-        assert snapshot["gauges"]["match_cache_entries"] == 2
-
-    def test_invalidate_clears_and_counts(self):
-        registry = MetricsRegistry()
-        cache = MatchCache(4, registry=registry)
-        cache.put((1,), CachedMatch(_result(), candidates=1))
-        cache.invalidate()
-        assert len(cache) == 0
-        snapshot = registry.as_dict()
-        assert snapshot["counters"]["match_cache_invalidations_total"] == 1
-        assert snapshot["gauges"]["match_cache_entries"] == 0
+        pruned = 1.0 - counters["matcher_pairs_scored"] / (
+            counters["matcher_samples_total"] * len(FINGERPRINTS)
+        )
+        assert pruned == pytest.approx(0.75)
+        assert not any(name.startswith("match_") for name in (
+            *snapshot["counters"], *snapshot["gauges"],
+            *snapshot["histograms"],
+        ))
 
 
 class TestMatcherCacheIntegration:
     SAMPLE = (10, 11, 12)
 
-    def _matcher(self, registry=None, **overrides):
-        config = MatchingConfig(**overrides) if overrides else MatchingConfig()
-        return SampleMatcher(FINGERPRINTS, config, registry=registry)
+    def _matcher(self, registry=None):
+        return SampleMatcher(FINGERPRINTS, MatchingConfig(), registry=registry)
+
+    @staticmethod
+    def _matcher_counters(registry):
+        snapshot = registry.as_dict()
+        counters = {
+            name: value for name, value in snapshot["counters"].items()
+            if name.startswith("matcher_")
+        }
+        for name, family in snapshot["labeled"].items():
+            if name.startswith("matcher_"):
+                for labels, value in family["children"].items():
+                    counters[(name, labels)] = value
+        for name, histogram in snapshot["histograms"].items():
+            if name.startswith("matcher_"):
+                counters[name] = (histogram["count"], histogram["sum"],
+                                  tuple(histogram["bucket_counts"]))
+        return counters
+
+    def test_same_upload_twice_doubles_every_matcher_counter(self):
+        registry = MetricsRegistry()
+        matcher = self._matcher(registry=registry)
+        upload = [self.SAMPLE, (20, 21), (99,), self.SAMPLE, (12, 13, 14)]
+        first = matcher.match_many(upload)
+        once = self._matcher_counters(registry)
+        second = matcher.match_many(upload)
+        twice = self._matcher_counters(registry)
+        assert second == first
+        assert once and twice.keys() == once.keys()
+        for name, value in once.items():
+            if isinstance(value, tuple):
+                count, total, buckets = value
+                assert twice[name] == (
+                    2 * count, 2 * total, tuple(2 * b for b in buckets)
+                ), name
+            else:
+                assert twice[name] == 2 * value, name
 
     def test_repeat_match_hits_and_replays_logical_metrics(self):
+        """A repeat sample is scored again and counted again in full."""
         registry = MetricsRegistry()
         matcher = self._matcher(registry=registry)
         first = matcher.match(self.SAMPLE)
         second = matcher.match(self.SAMPLE)
         assert second == first
         counters = registry.as_dict()["counters"]
-        assert counters["match_cache_hits_total"] == 1
-        # Logical accounting is replayed on the hit: both samples count,
-        # and both record the full candidate-pool pairs.
         assert counters["matcher_samples_total"] == 2
         assert counters["matcher_pairs_scored"] == 2 * len(
             matcher.candidate_stations(self.SAMPLE)
@@ -168,42 +140,34 @@ class TestMatcherCacheIntegration:
         matcher = self._matcher(registry=registry)
         results = matcher.match_many([self.SAMPLE, (20, 21), self.SAMPLE])
         assert results[0] == results[2]
+        assert results == [matcher.match(s)
+                           for s in (self.SAMPLE, (20, 21), self.SAMPLE)]
         counters = registry.as_dict()["counters"]
-        # Two unique sequences computed, the repeat served from the memo;
-        # the logical sample count still sees all three.
-        assert counters["match_cache_misses_total"] == 2
-        assert counters["matcher_samples_total"] == 3
+        # The repeat is scored once, but every occurrence is counted.
+        assert counters["matcher_samples_total"] == 6
 
     def test_cache_shared_between_match_and_match_many(self):
-        registry = MetricsRegistry()
-        matcher = self._matcher(registry=registry)
-        matcher.match(self.SAMPLE)
-        matcher.match_many([self.SAMPLE])
-        counters = registry.as_dict()["counters"]
-        assert counters["match_cache_hits_total"] == 1
-        assert counters["match_cache_misses_total"] == 1
+        """``match`` and ``match_many`` give one verdict and one count."""
+        one, many = MetricsRegistry(), MetricsRegistry()
+        assert self._matcher(registry=one).match(self.SAMPLE) == \
+            self._matcher(registry=many).match_many([self.SAMPLE])[0]
+        assert self._matcher_counters(one) == self._matcher_counters(many)
 
     def test_rebuild_invalidates_and_swaps_database(self):
-        registry = MetricsRegistry()
-        matcher = self._matcher(registry=registry)
+        matcher = self._matcher(registry=MetricsRegistry())
         stale = matcher.match(self.SAMPLE)
         assert stale.station_id == 1
         # Re-surveyed database: station 9 now owns the sample's cells.
         matcher.rebuild({9: (10, 11, 12), 2: (14, 15, 16)})
         fresh = matcher.match(self.SAMPLE)
         assert fresh.station_id == 9
-        counters = registry.as_dict()["counters"]
-        assert counters["match_cache_invalidations_total"] == 1
-        assert len(matcher.cache) == 1       # only the post-rebuild verdict
+        assert matcher.candidate_stations(self.SAMPLE) == {9}
 
     def test_disabled_cache_and_full_scan_still_exact(self):
-        plain = self._matcher(cache_size=0)
-        tuned = self._matcher()
+        matcher = self._matcher()
         full_scan = OracleMatcher(FINGERPRINTS)
         for sample in [self.SAMPLE, (99,), (), (-5, 30), (12, 13, 14)]:
-            assert tuned.match(sample) == plain.match(sample)
-            assert plain.match(sample) == full_scan.match(sample)
-        assert not plain.cache.enabled
+            assert matcher.match(sample) == full_scan.match(sample)
 
     def test_server_rebuild_fingerprints(self, small_city, database, config):
         server = BackendServer(
@@ -211,12 +175,9 @@ class TestMatcherCacheIntegration:
             registry=MetricsRegistry(),
         )
         sample = database.as_dict()[next(iter(database.as_dict()))]
-        server.matcher.match(sample)
-        assert len(server.matcher.cache) == 1
+        before = server.matcher.match(sample)
         server.rebuild_fingerprints(database)
-        counters = server.registry.as_dict()["counters"]
-        assert counters["match_cache_invalidations_total"] == 1
-        assert len(server.matcher.cache) == 0
+        assert server.matcher.match(sample) == before
         assert server.registry.as_dict()["gauges"][
             "fingerprint_db_stops"
         ] == len(database)

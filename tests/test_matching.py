@@ -205,7 +205,7 @@ class TestSampleMatcher:
         }}
         database = database_from_dict(payload)
         assert database.as_dict() == fingerprints
-        matcher = SampleMatcher(database.as_dict(), MatchingConfig(cache_size=0))
+        matcher = SampleMatcher(database.as_dict())
         oracle = OracleMatcher(fingerprints)
         probes = [
             (lo, 5), (hi, lo + 1, 7, 5), (hi - 1, 7, hi, lo), (lo + 2, 9),

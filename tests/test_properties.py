@@ -138,15 +138,14 @@ class TestMatcherBoundaryProperties:
 
 @pytest.mark.property
 class TestIndexedMatcherOracleEquivalence:
-    """Candidate-pruned, memoized matching ≡ the full-matrix oracle.
+    """Candidate-pruned matching ≡ the full-matrix oracle.
 
-    The inverted cell-id index only skips stations sharing zero cells
-    with the sample, and the LRU memo only replays verdicts already
-    computed — so the production matcher must equal the spec-literal
-    :class:`OracleMatcher` *exactly* (``==`` on floats) on every random
-    database, including negative tower ids (index keys below the
-    padding-sentinel range) and γ pinned on an achieved score where one
-    ULP of drift would flip a verdict.
+    The incidence plan only skips stations that cannot reach γ, and a
+    repeat sample is scored again, so the production matcher must equal
+    the spec-literal :class:`OracleMatcher` *exactly* (``==`` on floats)
+    on every random database, including negative tower ids (index keys
+    below the padding-sentinel range) and γ pinned on an achieved score
+    where one ULP of drift would flip a verdict.
     """
 
     @given(
@@ -179,13 +178,11 @@ class TestIndexedMatcherOracleEquivalence:
                 float(np.nextafter(boundary, -np.inf)),
                 float(np.nextafter(boundary, np.inf)),
             ]
-        # Replay every sample twice so the second round is all cache
-        # hits — memoized verdicts must equal freshly computed ones.
+        # Replay every sample twice: a repeat, in a batch or across
+        # calls, must get the verdict it got the first time.
         replayed = samples + samples
         for gamma in gammas:
-            config = MatchingConfig(
-                accept_threshold=float(gamma), cache_size=64
-            )
+            config = MatchingConfig(accept_threshold=float(gamma))
             matcher = SampleMatcher(fingerprints, config)
             oracle = OracleMatcher(fingerprints, config)
             expected = oracle.match_many(replayed)

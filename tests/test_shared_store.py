@@ -6,10 +6,9 @@ process pool are gone; what remains on the array side, and is tested
 here, is the skewed Smith-Waterman kernel (bit-exact against the scalar
 oracle, hypothesis included), the dense tower × station incidence plan
 that replaced the flat fingerprint arrays, the padding sentinels, and
-the matcher's plain pickling with the memo off.
+the matcher's plain pickling.
 """
 
-import dataclasses
 import itertools
 import pickle
 
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MatchingConfig, SystemConfig
+from repro.config import MatchingConfig
 from repro.core import BackendServer
 from repro.core.match_index import MatchIndex
 from repro.core.matching import SampleMatcher, batch_smith_waterman
@@ -120,9 +119,8 @@ class TestVectorizedParity:
 
     def test_matcher_pending_path_matches_per_sample(self):
         """match_many's array-gather scoring equals one-by-one match."""
-        cfg = MatchingConfig(cache_size=0)
-        batch_m = SampleMatcher(FINGERPRINTS, cfg)
-        serial_m = SampleMatcher(FINGERPRINTS, cfg)
+        batch_m = SampleMatcher(FINGERPRINTS)
+        serial_m = SampleMatcher(FINGERPRINTS)
         samples = [
             (1, 2, 3), (5, 4, 3), (-3, 9), (8, 7), (42,), (), (6,),
             (1, 2, 3),                       # within-batch repeat
@@ -153,7 +151,7 @@ class TestFingerprintArrays:
         # (min id − 2 and − 1); none of them may score as a match, so
         # (5, 6, 3, 4) must not outscore station 1 on station 2's pads.
         fingerprints = {1: (5, 6, 7, 8), 2: (5, 6)}
-        matcher = SampleMatcher(fingerprints, MatchingConfig(cache_size=0))
+        matcher = SampleMatcher(fingerprints)
         oracle = OracleMatcher(fingerprints)
         for probe in [(5, 6, 7, 8), (3, 4), (5, 6, 3, 4), (5, 6, 4, 3),
                       (4, 5, 6), (3, 5, 6, 7), (8, 7, 6, 5)]:
@@ -191,49 +189,38 @@ class TestFingerprintArrays:
             assert type(shared.match(probe).station_id) in (int, type(None))
 
 
-# -- pickling / disabled-cache config -----------------------------------------
+# -- pickling and batch-split accounting -------------------------------------
+# (The class and test names date from the verdict memo's on/off switch.)
 
 
 class TestMatcherPickleConfig:
     def test_disabled_cache_survives_pickle(self):
-        matcher = SampleMatcher(FINGERPRINTS, MatchingConfig(cache_size=0))
+        matcher = SampleMatcher(FINGERPRINTS, MatchingConfig(gap_penalty=0.5))
         clone = pickle.loads(pickle.dumps(matcher))
-        assert clone.cache.maxsize == 0
-        assert clone.cache.enabled is False
-        assert clone.match((1, 2, 3)) == matcher.match((1, 2, 3))
-        assert len(clone.cache) == 0                 # still disabled
+        assert clone.config == matcher.config
+        for probe in [(1, 2, 3), (5, 4, 3), (42,), ()]:
+            assert clone.match(probe) == matcher.match(probe)
 
     def test_disabled_cache_counters_stay_zero_serial_vs_sharded(
         self, small_city, database, config, batch
     ):
-        """With the memo off, no cache counter moves, whether a batch is
-        ingested in one call or in shards of two uploads."""
-        cfg = dataclasses_replace_matching(config, cache_size=0)
-        names = (
-            "match_cache_hits_total", "match_cache_misses_total",
-            "match_cache_evictions_total", "match_cache_invalidations_total",
-        )
+        """A batch ingested in one call or in shards of two uploads
+        records the same matcher counters, and no other match family."""
         serial_reg = MetricsRegistry()
-        serial = make_server(small_city, database, cfg, registry=serial_reg)
-        serial.ingest_many(batch)
+        serial = make_server(small_city, database, config, registry=serial_reg)
+        serial.receive_trips(batch)
         sharded_reg = MetricsRegistry()
-        sharded = make_server(small_city, database, cfg,
+        sharded = make_server(small_city, database, config,
                               registry=sharded_reg)
         for lo in range(0, len(batch), 2):
-            sharded.ingest_many(batch[lo: lo + 2])
+            sharded.receive_trips(batch[lo: lo + 2])
         serial_counters = serial_reg.as_dict()["counters"]
         sharded_counters = sharded_reg.as_dict()["counters"]
-        for name in names:
-            assert serial_counters.get(name, 0) == 0, name
-            assert sharded_counters.get(name, 0) == 0, name
         assert sharded_counters["matcher_samples_total"] == \
             serial_counters["matcher_samples_total"] > 0
-        assert sharded_reg.as_dict()["gauges"].get(
-            "match_cache_entries", 0
-        ) == 0
-
-
-def dataclasses_replace_matching(config: SystemConfig, **changes):
-    return dataclasses.replace(
-        config, matching=dataclasses.replace(config.matching, **changes)
-    )
+        assert sharded_counters["matcher_pairs_scored"] == \
+            serial_counters["matcher_pairs_scored"]
+        for snapshot in (serial_reg.as_dict(), sharded_reg.as_dict()):
+            names = [*snapshot["counters"], *snapshot["gauges"],
+                     *snapshot["histograms"]]
+            assert not [n for n in names if n.startswith("match_cache_")]

@@ -358,10 +358,10 @@ class TestServerIntegration:
             )
 
         plain = server_with()
-        expected = plain.ingest_many(batch)
+        expected = plain.receive_trips(batch)
         tracer = Tracer(SamplingPolicy())
         traced = server_with(tracer=tracer)
-        reports = traced.ingest_many(batch)
+        reports = traced.receive_trips(batch)
 
         assert [r.trip_key for r in reports] == \
             [r.trip_key for r in expected]
@@ -501,3 +501,30 @@ class TestHttpTraceEndpoint:
             with urllib.request.urlopen(f"{exporter.url}/trace") as resp:
                 doc = json.load(resp)
         assert "error" in doc
+
+
+class TestSpanCategories:
+    def test_traced_campaign_with_store_has_no_uncategorized_span(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Every span a campaign opens (store I/O and day bounds
+        included) exports under a named category, never ``other``."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "campaign", "--sparse-days", "1", "--intensive-days", "0",
+            "--start", "07:30", "--end", "07:45",
+            "--store", ":memory:", "--snapshot-every", "5",
+            "--trace-out", "t.json",
+        ]) == 0
+        capsys.readouterr()
+        events = [
+            e for e in json.loads((tmp_path / "t.json").read_text())[
+                "traceEvents"
+            ] if e["ph"] == "X"
+        ]
+        names = {e["name"] for e in events}
+        assert {"campaign_day", "publish", "store_wal_append",
+                "store_snapshot"} <= names
+        assert [e["name"] for e in events if e["cat"] == "other"] == []
