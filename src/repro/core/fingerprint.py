@@ -28,6 +28,9 @@ from repro.radio.scanner import CellularScanner
 from repro.radio.towers import check_cell_ids
 from repro.util.rng import SeedLike, ensure_rng
 
+# Smith-Waterman pairs per kernel call when choosing survey medoids.
+MEDOID_PAIRS = 200
+
 
 @dataclass(frozen=True)
 class StoredFingerprint:
@@ -88,20 +91,50 @@ class FingerprintDatabase:
         The kept sample is the one with the highest total Smith-Waterman
         similarity to the others — robust to the odd outlier scan.
         """
-        samples = [tuple(s) for s in samples if len(s) > 0]
-        if not samples:
+        self._set_medoids([(station_id, samples)])
+
+    def _set_medoids(
+        self, groups: Sequence[Tuple[int, Sequence[Sequence[int]]]]
+    ) -> None:
+        """:meth:`set_from_samples` for each ``(station_id, samples)``, in order.
+
+        The pairs of consecutive groups are scored together, about
+        ``MEDOID_PAIRS`` per kernel call; the scores are per pair, so the
+        batching does not change them.
+        """
+        groups = [
+            (station_id, [tuple(s) for s in samples if len(s) > 0])
+            for station_id, samples in groups
+        ]
+        if any(not samples for _, samples in groups):
             raise ValueError("need at least one non-empty sample")
-        if len(samples) == 1:
-            self.set_fingerprint(station_id, samples[0])
-            return
-        k = len(samples)
-        scores = batch_smith_waterman(
-            [candidate for candidate in samples for _ in range(k - 1)],
-            [other for i in range(k) for j, other in enumerate(samples) if j != i],
-            self.config,
-        ).tolist()
-        totals = [sum(scores[i * (k - 1): (i + 1) * (k - 1)]) for i in range(k)]
-        self.set_fingerprint(station_id, samples[int(np.argmax(totals))])
+        start = 0
+        while start < len(groups):
+            stop, pairs = start, []
+            while stop < len(groups) and (stop == start or len(pairs) < MEDOID_PAIRS):
+                samples = groups[stop][1]
+                pairs.extend(
+                    (candidate, other)
+                    for i, candidate in enumerate(samples)
+                    for j, other in enumerate(samples)
+                    if j != i
+                )
+                stop += 1
+            scores = batch_smith_waterman(
+                [candidate for candidate, _ in pairs],
+                [other for _, other in pairs],
+                self.config,
+            ).tolist()
+            offset = 0
+            for station_id, samples in groups[start:stop]:
+                k = len(samples)
+                totals = [
+                    sum(scores[offset + i * (k - 1) : offset + (i + 1) * (k - 1)])
+                    for i in range(k)
+                ]
+                offset += k * (k - 1)
+                self.set_fingerprint(station_id, samples[int(np.argmax(totals))])
+            start = stop
 
     @classmethod
     def survey(
@@ -116,23 +149,28 @@ class FingerprintDatabase:
 
         Samples alternate between the station's platforms (the surveyor
         stands on either side / rides past on buses both ways), so the
-        stored fingerprint represents the aggregated location.
+        stored fingerprint represents the aggregated location.  All scans
+        go through one :meth:`~repro.radio.CellularScanner.scan_many`, in
+        station order, which equals scanning one at a time.
         """
         if samples_per_stop < 1:
             raise ValueError("samples_per_stop must be >= 1")
-        rng = ensure_rng(rng)
-        db = cls(config)
-        for station in registry.stations:
-            platforms = station.stops or [None]
-            samples = []
-            for k in range(samples_per_stop):
-                platform = platforms[k % len(platforms)]
-                where = platform.position if platform is not None else station.position
-                observation = scanner.scan(where, rng)
-                if len(observation):
-                    samples.append(observation.tower_ids)
+        stations = registry.stations
+        points = []
+        for station in stations:
+            platforms = station.stops or [station]
+            points.extend(
+                platforms[k % len(platforms)].position for k in range(samples_per_stop)
+            )
+        observations = scanner.scan_many(points, ensure_rng(rng))
+        groups = []
+        for i, station in enumerate(stations):
+            scans = observations[i * samples_per_stop : (i + 1) * samples_per_stop]
+            samples = [o.tower_ids for o in scans if len(o)]
             if samples:
-                db.set_from_samples(station.station_id, samples)
+                groups.append((station.station_id, samples))
+        db = cls(config)
+        db._set_medoids(groups)
         return db
 
     def update_online(

@@ -26,8 +26,13 @@ The pillars the phone→server pipeline reports itself through:
 * :func:`configure` / :func:`get_logger` / :func:`log_event` —
   structured logging (key=value or JSON Lines) on stdlib ``logging``.
 
-Everything is dependency-free and safe to import from any layer.
+Everything is dependency-free and safe to import from any layer.  The
+HTTP exporter's names load on first use (PEP 562): its ``http.server``,
+``email`` and ``ssl`` imports cost ~30 ms that only ``--serve-metrics``
+needs.
 """
+
+from importlib import import_module
 
 from repro.obs.alerts import (
     AlertEngine,
@@ -39,7 +44,6 @@ from repro.obs.alerts import (
     samples_from_document,
     samples_from_registry,
 )
-from repro.obs.http_exporter import PROMETHEUS_CONTENT_TYPE, MetricsHTTPServer
 from repro.obs.labels import (
     DEFAULT_MAX_CHILDREN,
     LabeledCounter,
@@ -135,3 +139,19 @@ __all__ = [
     "KeyValueFormatter",
     "JsonFormatter",
 ]
+
+# Names whose module loads on first access.
+_LAZY = {
+    "MetricsHTTPServer": "http_exporter",
+    "PROMETHEUS_CONTENT_TYPE": "http_exporter",
+}
+
+
+def __getattr__(name: str):
+    """Import the HTTP exporter on first access to one of its names."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

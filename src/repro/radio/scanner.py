@@ -20,6 +20,18 @@ from repro.radio.propagation import PropagationModel
 from repro.radio.towers import CellTower
 from repro.util.rng import SeedLike, ensure_rng
 
+# Scans per numpy pass of :meth:`CellularScanner.scan_many`.
+SCAN_CHUNK = 64
+# Slack below the sensitivity floor within which a candidate's RSS is
+# recomputed with the scalar formula.  The numpy RSS differs from that
+# formula by ~1e-14 dB, eight orders of magnitude less.
+PRUNE_MARGIN_DB = 1e-6
+
+
+def _strongest_first(pair: Tuple[float, int]) -> Tuple[float, int]:
+    """Sort key of an ``(rss, tower_id)`` pair: descending RSS, then id."""
+    return -pair[0], pair[1]
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -64,50 +76,95 @@ class CellularScanner:
         self.towers: List[CellTower] = list(towers)
         self.propagation = propagation
         self.config = config or propagation.config
-        self._positions = np.array(
-            [(t.position.x, t.position.y) for t in self.towers]
-        )
-        self._tower_ids = np.array([t.tower_id for t in self.towers])
+        self._x = np.array([t.position.x for t in self.towers], dtype=float)
+        self._y = np.array([t.position.y for t in self.towers], dtype=float)
         self._tx_power = np.array([t.tx_power_dbm for t in self.towers], dtype=float)
+        # Per tower x, y, transmit power (as floats) and id, for the
+        # candidates that get the scalar formula.
+        self._scalars = list(
+            zip(
+                self._x.tolist(),
+                self._y.tolist(),
+                self._tx_power.tolist(),
+                [t.tower_id for t in self.towers],
+            )
+        )
         self._columns = propagation.columns([t.tower_id for t in self.towers])
 
     def scan(self, where: Point, rng: SeedLike = None) -> Observation:
         """One scan at ``where`` with temporal noise."""
-        rng = ensure_rng(rng)
-        return self._scan(where, rng, temporal=True)
+        return self.scan_many([where], rng)[0]
+
+    def scan_many(
+        self, points: Sequence[Point], rng: SeedLike = None
+    ) -> List[Observation]:
+        """One noisy scan at each of ``points``, in order.
+
+        Equal to ``[self.scan(p, rng) for p in points]``, observations and
+        ``rng`` state alike: each scan draws one noise value per candidate
+        tower, in tower order, and nothing else.  Scans run ``SCAN_CHUNK``
+        at a time, so one numpy pass covers a chunk.
+        """
+        return self._scan_many(points, ensure_rng(rng))
 
     def mean_scan(self, where: Point) -> Observation:
         """Noise-free scan of the long-term mean field (for analysis)."""
-        return self._scan(where, None, temporal=False)
+        return self._scan_many([where], None)[0]
 
-    def _scan(
-        self, where: Point, rng: Optional[np.random.Generator], temporal: bool
-    ) -> Observation:
+    def _scan_many(
+        self, points: Sequence[Point], rng: Optional[np.random.Generator]
+    ) -> List[Observation]:
+        observations: List[Observation] = []
+        for start in range(0, len(points), SCAN_CHUNK):
+            chunk = points[start : start + SCAN_CHUNK]
+            observations.extend(self._scan_chunk(chunk, rng))
+        return observations
+
+    def _scan_chunk(
+        self, points: Sequence[Point], rng: Optional[np.random.Generator]
+    ) -> List[Observation]:
         # Pre-filter by distance: beyond ~4 km a macro cell cannot clear the
         # sensitivity floor in this model, so skip the full RSS computation.
         # The candidate count also fixes how much noise stream a scan uses.
-        deltas = self._positions - np.array([where.x, where.y])
-        distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        candidates = np.nonzero(distances < 4000.0)[0]
-        args = (
-            self._columns[candidates],
-            deltas[candidates],
-            self._tx_power[candidates],
-            where,
-        )
-        if temporal:
-            rss = self.propagation.measure_rss_many(*args, rng)
-        else:
-            rss = self.propagation.mean_rss_many(*args)
-        visible = rss >= self.config.rx_sensitivity_dbm
-        pairs = sorted(
-            zip(rss[visible].tolist(), self._tower_ids[candidates[visible]].tolist()),
-            key=lambda p: (-p[0], p[1]),
-        )[: self.config.max_visible]
-        return Observation(
-            tower_ids=tuple(tid for _, tid in pairs),
-            rss_dbm=tuple(rss for rss, _ in pairs),
-        )
+        xy = np.array([(p.x, p.y) for p in points], dtype=float)
+        distances = np.hypot(self._x - xy[:, :1], self._y - xy[:, 1:])
+        owner, towers = np.nonzero(distances < 4000.0)
+        columns = self._columns[towers]
+        tx_power = self._tx_power[towers]
+        shadow = self.propagation.shadow_db(columns, xy, owner)
+        floor = self.config.rx_sensitivity_dbm
+        # The numpy path loss is within a few ulp of the scalar formula, so a
+        # candidate more than PRUNE_MARGIN_DB below the floor here is below it
+        # there too: only the rest pay for the scalar formula.
+        approx_loss = self.propagation.approx_path_loss_db(distances[owner, towers])
+        rss = tx_power - approx_loss - shadow
+        if rng is not None:
+            noise = rng.normal(0.0, self.config.temporal_sigma_db, size=len(towers))
+            rss = rss + noise
+        near = np.flatnonzero(rss >= floor - PRUNE_MARGIN_DB)
+        owner, towers = owner[near].tolist(), towers[near].tolist()
+        # Few candidates are left: the scalar formula, one at a time.
+        path_loss = self.propagation.path_loss_db
+        x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
+        extra = noise[near].tolist() if rng is not None else None
+        scans: List[List[Tuple[float, int]]] = [[] for _ in points]
+        for k, (j, t, s) in enumerate(zip(owner, towers, shadow[near].tolist())):
+            tower_x, tower_y, power, tower_id = self._scalars[t]
+            value = power - path_loss(tower_x - x[j], tower_y - y[j]) - s
+            if extra is not None:
+                value = value + extra[k]
+            if value >= floor:
+                scans[j].append((value, tower_id))
+        observations = []
+        for pairs in scans:
+            pairs = sorted(pairs, key=_strongest_first)[: self.config.max_visible]
+            observations.append(
+                Observation(
+                    tower_ids=tuple(tid for _, tid in pairs),
+                    rss_dbm=tuple(value for value, _ in pairs),
+                )
+            )
+        return observations
 
     def visible_count(self, where: Point) -> int:
         """Number of towers visible in the mean field at ``where``."""

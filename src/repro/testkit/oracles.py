@@ -19,7 +19,9 @@ same deterministic choices the optimized paths make:
 The radio oracle is the per-tower scalar scan (§III-A): one
 ``field_rng`` Generator per shadow-lattice corner, one scalar noise
 draw per candidate tower.  The core scanner must return the same
-observation and leave the phone's Generator in the same state.
+observation and leave the phone's Generator in the same state.  The
+survey oracle (§IV-A) makes one such scan per sample, station by
+station, and stores each station's medoid on its own.
 
 All arithmetic uses the same IEEE-754 double operations in the same
 association order as the optimized code, so comparisons are exact
@@ -35,8 +37,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.city.geometry import Point
+from repro.city.stops import StopRegistry
 from repro.config import ClusteringConfig, MatchingConfig, RadioConfig
 from repro.core.clustering import MatchedSample, SampleCluster
+from repro.core.fingerprint import FingerprintDatabase
 from repro.core.matching import MatchResult
 from repro.core.trip_mapping import MappedStop, DROP_EPSILON
 from repro.radio.scanner import Observation
@@ -50,6 +54,7 @@ __all__ = [
     "oracle_enumerate_sequences",
     "oracle_map_variants",
     "oracle_smith_waterman",
+    "oracle_survey",
 ]
 
 
@@ -365,3 +370,34 @@ class OracleScanner:
             tower_ids=tuple(tid for _, tid in pairs),
             rss_dbm=tuple(rss for rss, _ in pairs),
         )
+
+
+def oracle_survey(
+    registry: StopRegistry,
+    scanner: OracleScanner,
+    samples_per_stop: int,
+    rng: np.random.Generator,
+    config: Optional[MatchingConfig] = None,
+) -> FingerprintDatabase:
+    """The station survey, one scan and one medoid at a time.
+
+    Same contract as :meth:`repro.core.FingerprintDatabase.survey`:
+    sample ``k`` of a station is taken at platform ``k mod p`` (at the
+    station itself when it has none), empty scans are dropped, and each
+    station with a sample stores its medoid, in station order.
+    """
+    db = FingerprintDatabase(config)
+    for station in registry.stations:
+        samples = []
+        for k in range(samples_per_stop):
+            where = (
+                station.stops[k % len(station.stops)].position
+                if station.stops
+                else station.position
+            )
+            observation = scanner.scan(where, rng)
+            if len(observation):
+                samples.append(observation.tower_ids)
+        if samples:
+            db.set_from_samples(station.station_id, samples)
+    return db

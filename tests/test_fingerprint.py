@@ -1,9 +1,16 @@
 """Tests for the fingerprint database."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.fingerprint import FingerprintDatabase
+from repro.city.geometry import Point
+from repro.city.stops import Station, StopRegistry
+from repro.core.fingerprint import MEDOID_PAIRS, FingerprintDatabase
+from repro.radio import towers_for_city
+from repro.radio.scanner import SCAN_CHUNK
+from repro.testkit.oracles import OracleScanner, oracle_survey
 
 
 class TestBasics:
@@ -84,6 +91,48 @@ class TestSurvey:
     def test_rejects_bad_sample_count(self, small_city, scanner):
         with pytest.raises(ValueError):
             FingerprintDatabase.survey(small_city.registry, scanner, 0)
+
+
+class TestSurveyAgainstOracle:
+    """The batched survey against one oracle scan and one medoid at a time."""
+
+    @pytest.fixture(scope="class")
+    def registry(self, small_city):
+        registry = StopRegistry()
+        for station in small_city.registry.stations[:20]:
+            registry.add_station(station)
+        # A station with no platforms is surveyed at its own position.
+        registry.add_station(Station(9999, "bare", Point(1510.0, 980.0)))
+        # At five samples a stop the survey spans two scan chunks and
+        # several medoid kernel calls.
+        assert len(registry.stations) * 5 > SCAN_CHUNK
+        assert len(registry.stations) * 5 * 4 > 2 * MEDOID_PAIRS
+        return registry
+
+    @pytest.fixture(scope="class")
+    def oracle(self, small_city, config):
+        towers = towers_for_city(small_city, seed=5)
+        oracle = OracleScanner(towers, config.radio, seed=5)
+        # Corner values are pure functions of their keys: caching them
+        # changes nothing but the oracle's speed.
+        oracle._corner = functools.lru_cache(maxsize=None)(oracle._corner)
+        return oracle
+
+    @pytest.mark.parametrize("samples_per_stop", [1, 2, 5])
+    def test_equals_oracle_survey(
+        self, registry, oracle, scanner, config, samples_per_stop
+    ):
+        fast_rng = np.random.default_rng(17)
+        slow_rng = np.random.default_rng(17)
+        fast = FingerprintDatabase.survey(
+            registry, scanner, samples_per_stop, config.matching, rng=fast_rng
+        )
+        slow = oracle_survey(
+            registry, oracle, samples_per_stop, slow_rng, config.matching
+        )
+        assert list(fast.as_dict().items()) == list(slow.as_dict().items())
+        assert 9999 in fast
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 class TestOnlineUpdate:

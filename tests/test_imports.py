@@ -65,3 +65,24 @@ def test_every_module_imports_in_a_fresh_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {}
+
+
+def test_world_import_leaves_the_http_exporter_unloaded():
+    # ``repro.obs`` loads its HTTP exporter (and with it ``http.server``,
+    # ``email`` and ``ssl``) only when one of its names is first used.
+    probe = (
+        "import sys, repro.sim.world\n"
+        "print('http.server' in sys.modules)\n"
+        "from repro.obs import MetricsHTTPServer, PROMETHEUS_CONTENT_TYPE\n"
+        "print('http.server' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -6,11 +6,19 @@ one tower and one ``field_rng`` Generator per lattice corner at a time.
 They must agree exactly: same tower ids, same ``rss_dbm`` and the same
 amount of noise stream consumed.
 
+``scan_many`` is held to successive oracle scans too, down to the
+Generator state, including candidates whose RSS sits within 1e-9 dB of
+the sensitivity floor, where the pruning by the numpy RSS must not decide
+anything the scalar formula would not.
+
 The batched lattice draw is checked on its own too: its literal
 ziggurat tables against numpy, its values bit for bit against
-``field_rng`` (scalar fallback included), and the resumed key hashes
+``field_rng`` (scalar fallback included), and the numpy key hashes
 against ``stable_hash``.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -20,6 +28,7 @@ from hypothesis import strategies as st
 from repro.city.geometry import Point
 from repro.config import RadioConfig
 from repro.radio import CellTower, CellularScanner, PropagationModel, deploy_towers
+from repro.radio.scanner import SCAN_CHUNK
 from repro.testkit.oracles import OracleScanner
 from repro.testkit.ziggurat import RABS_LIMIT, probe_tables
 from repro.util import rng as rng_module
@@ -39,12 +48,41 @@ coords = st.tuples(
     st.floats(-9000.0, HEIGHT + 9000.0, allow_nan=False),
 )
 inside = st.tuples(st.floats(0.0, WIDTH), st.floats(0.0, HEIGHT))
+FAR = (-50_000.0, 0.0)  # no tower within the 4 km prefilter
+# Scan lists up to two chunks and a bit long, over a few distinct points
+# (so repeats are common), possibly empty.
+scan_lists = st.lists(
+    st.one_of(coords, inside, st.just(FAR)), min_size=1, max_size=4
+).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), max_size=2 * SCAN_CHUNK + 9)
+)
 
 
 def _pair(seed):
     radio = RadioConfig()
     scanner = CellularScanner(TOWERS, PropagationModel(radio, seed=seed), radio)
     return scanner, OracleScanner(TOWERS, radio, seed=seed)
+
+
+def _fast_oracle(towers, radio, seed):
+    """An :class:`OracleScanner` that draws each lattice corner once.
+
+    A corner value is a pure function of its key, so caching it changes
+    no result, only how long a scan of many repeated points takes.
+    """
+    oracle = OracleScanner(towers, radio, seed=seed)
+    oracle._corner = functools.lru_cache(maxsize=None)(oracle._corner)
+    return oracle
+
+
+def _assert_scan_many_equals_oracle(scanner, oracle, points, rng_seed):
+    fast_rng = np.random.default_rng(rng_seed)
+    slow_rng = np.random.default_rng(rng_seed)
+    fast = scanner.scan_many(points, fast_rng)
+    slow = [oracle.scan(where, slow_rng) for where in points]
+    assert [o.tower_ids for o in fast] == [o.tower_ids for o in slow]
+    assert [o.rss_dbm for o in fast] == [o.rss_dbm for o in slow]
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 def _assert_same_scan(scanner, oracle, where, rng_seed, temporal):
@@ -83,6 +121,20 @@ class TestScanAgainstOracle:
         for step, (xy, temporal) in enumerate(walk):
             _assert_same_scan(scanner, oracle, Point(*xy), rng_seed + step, temporal)
 
+    @pytest.mark.parametrize(
+        "xy", [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, float("-inf"))]
+    )
+    def test_non_finite_receiver_raises(self, xy):
+        # A receiver's lattice corner is math.floor of its position, which
+        # rejects NaN and infinity, so a bad position cannot key the memo.
+        scanner, _ = _pair(7)
+        with pytest.raises((ValueError, OverflowError)):
+            scanner.scan(Point(*xy), np.random.default_rng(0))
+        with pytest.raises((ValueError, OverflowError)):
+            scanner.scan_many([Point(100.0, 100.0), Point(*xy)], 0)
+        with pytest.raises((ValueError, OverflowError)):
+            scanner.mean_scan(Point(*xy))
+
     def test_no_candidate_tower_is_an_empty_scan(self):
         scanner, oracle = _pair(7)
         rng = np.random.default_rng(0)
@@ -90,6 +142,88 @@ class TestScanAgainstOracle:
         assert len(scanner.scan(Point(-50_000.0, 0.0), rng)) == 0
         assert rng.bit_generator.state == before
         _assert_same_scan(scanner, oracle, Point(-50_000.0, 0.0), 0, True)
+
+
+@pytest.mark.property
+class TestScanManyAgainstOracle:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seeds, scan_lists, st.integers(0, 2**31))
+    def test_equals_successive_oracle_scans(self, seed, xys, rng_seed):
+        radio = RadioConfig()
+        scanner = CellularScanner(TOWERS, PropagationModel(radio, seed=seed), radio)
+        oracle = _fast_oracle(TOWERS, radio, seed)
+        _assert_scan_many_equals_oracle(
+            scanner, oracle, [Point(*xy) for xy in xys], rng_seed
+        )
+
+    def test_longer_than_a_chunk(self):
+        radio = RadioConfig()
+        scanner = CellularScanner(TOWERS, PropagationModel(radio, seed=4), radio)
+        oracle = _fast_oracle(TOWERS, radio, 4)
+        grid = [
+            Point(150.0 + 340.0 * i, 90.0 + 230.0 * j) for i in range(9) for j in range(9)
+        ]
+        points = grid + [Point(*FAR)] + grid[::-1] + grid[:3]
+        assert len(points) > 2 * SCAN_CHUNK
+        _assert_scan_many_equals_oracle(scanner, oracle, points, 11)
+
+    def test_empty_list_draws_nothing(self):
+        radio = RadioConfig()
+        scanner = CellularScanner(TOWERS, PropagationModel(radio, seed=4), radio)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert scanner.scan_many([], rng) == []
+        assert rng.bit_generator.state == before
+
+    def test_lattice_memo_equals_one_scan_at_a_time(self):
+        radio = RadioConfig()
+        points = [Point(97.0 * k % WIDTH, 61.0 * k % HEIGHT) for k in range(150)]
+        batched = PropagationModel(radio, seed=8)
+        single = PropagationModel(radio, seed=8)
+        CellularScanner(TOWERS, batched, radio).scan_many(points, 1)
+        scanner = CellularScanner(TOWERS, single, radio)
+        rng = np.random.default_rng(1)
+        for where in points:
+            scanner.scan(where, rng)
+        assert list(batched._row) == list(single._row)
+        used = len(single._row)
+        assert batched._memo[:used].tobytes() == single._memo[:used].tobytes()
+
+
+class TestSensitivityFloorEdge:
+    """A tower tuned to within 1e-9 dB of the floor: reported exactly
+    when the oracle reports it, for the mean field and for a noisy scan."""
+
+    @pytest.mark.parametrize("temporal", [False, True])
+    @pytest.mark.parametrize("offset_db", [-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
+    def test_floor_edge(self, offset_db, temporal):
+        radio = RadioConfig()
+        floor = radio.rx_sensitivity_dbm
+        where = Point(1234.5, 876.25)
+        plain = OracleScanner(TOWERS, radio, seed=6)
+        # The noise the oracle adds to each candidate, in candidate order.
+        candidates = [
+            t
+            for t in TOWERS
+            if np.hypot(t.position.x - where.x, t.position.y - where.y) < 4000.0
+        ]
+        noise = np.random.default_rng(2).normal(
+            0.0, radio.temporal_sigma_db, size=len(candidates)
+        )
+        k = len(candidates) // 2
+        tower = candidates[k]
+        rss = plain.mean_rss_dbm(tower, where) + (noise[k] if temporal else 0.0)
+        tuned = dataclasses.replace(
+            tower, tx_power_dbm=tower.tx_power_dbm + (floor + offset_db - rss)
+        )
+        towers = [tuned if t is tower else t for t in TOWERS]
+        oracle = OracleScanner(towers, radio, seed=6)
+        tuned_rss = oracle.mean_rss_dbm(tuned, where) + (noise[k] if temporal else 0.0)
+        assert abs(tuned_rss - floor) <= 1e-9 + 1e-12
+        scanner = CellularScanner(towers, PropagationModel(radio, seed=6), radio)
+        _assert_same_scan(scanner, oracle, where, 2, temporal)
+        fast = scanner.scan(where, 2) if temporal else scanner.mean_scan(where)
+        assert (tuned.tower_id in fast.tower_ids) == (tuned_rss >= floor)
 
 
 class TestScalarApi:
@@ -232,6 +366,12 @@ class TestBatchedDrawBits:
         assert 0.005 < len(rejected) / len(keys) < 0.03
 
 
+def _hashes_at_every_point(model, points, columns) -> list:
+    """``model``'s key hashes of every column in ``columns`` at every point."""
+    at = np.repeat(np.arange(len(points)), len(columns))
+    return model._key_hashes(points, at, np.tile(columns, len(points))).tolist()
+
+
 class TestResumedKeyHashes:
     @given(
         st.lists(st.integers(-2**63, 2**64), min_size=1, max_size=6, unique=True),
@@ -244,7 +384,7 @@ class TestResumedKeyHashes:
     def test_equal_stable_hash(self, tower_ids, points):
         model = PropagationModel(RadioConfig(), seed=3)
         columns = model.columns(tower_ids)
-        got = model._key_hashes(points, [columns] * len(points))
+        got = _hashes_at_every_point(model, points, columns)
         expected = [
             stable_hash("shadow", tower_id, ix, iy)
             for ix, iy in points
@@ -257,11 +397,27 @@ class TestResumedKeyHashes:
         tower_ids = [0, 7, 12345, 2**40 + 3, -5]
         points = [(0, 0), (-1, 1), (-12, 345), (10**6, -10**6)]
         columns = model.columns(tower_ids)
-        got = model._key_hashes(points, [columns[::-1]] * len(points))
+        got = _hashes_at_every_point(model, points, columns[::-1])
         assert got == [
             stable_hash("shadow", t, ix, iy)
             for ix, iy in points
             for t in tower_ids[::-1]
+        ]
+
+    def test_tower_registered_after_tables_built(self):
+        # The per-length column tables are built on first use; a tower
+        # registered afterwards must get (and widen) them too.
+        model = PropagationModel(RadioConfig(), seed=3)
+        points = [(0, 0), (-7, 12), (-123456, 98765), (4, -3)]
+        first = model.columns([5, 60, 700])
+        assert _hashes_at_every_point(model, points, first) == [
+            stable_hash("shadow", t, ix, iy) for ix, iy in points for t in (5, 60, 700)
+        ]
+        columns = model.columns([8000, 5, 90000])
+        assert _hashes_at_every_point(model, points, columns) == [
+            stable_hash("shadow", t, ix, iy)
+            for ix, iy in points
+            for t in (8000, 5, 90000)
         ]
 
     def test_large_tower_ids_at_negative_corners_match_oracle(self):
