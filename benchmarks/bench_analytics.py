@@ -8,8 +8,10 @@ both on the null registry so only the analytics bookkeeping itself is
 under the clock.  Target: under 5% overhead.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_analytics.py``,
-``--quick`` for the CI smoke) or through pytest; the numbers land in
-``benchmarks/reports/BENCH_analytics.{json,txt}``.
+``--quick`` for the CI smoke) or through pytest.  A direct run writes
+``benchmarks/reports/BENCH_analytics.{json,txt}`` (``--out`` moves both:
+the table goes next to the JSON); the pytest run writes to a temporary
+directory, so it never replaces the committed report.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.core.server import BackendServer
 from repro.sim.world import World
 from repro.util.units import parse_hhmm
 
-from conftest import REPORT_DIR, report
+from conftest import REPORT_DIR
 
 REPEATS = 5
 OVERHEAD_TARGET = 0.05
@@ -100,8 +102,10 @@ def run(quick: bool = False, out: Optional[str] = None) -> dict:
         f"{od_trips} O-D trips",
     ]
     table = "\n".join(rows)
-    report("BENCH_analytics", table)
+    print(table)
     out = out or os.path.join(REPORT_DIR, "BENCH_analytics.json")
+    with open(os.path.splitext(out)[0] + ".txt", "w", encoding="utf-8") as handle:
+        handle.write(table + "\n")
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
     print(f"wrote {out}")
@@ -111,8 +115,12 @@ def run(quick: bool = False, out: Optional[str] = None) -> dict:
     return document
 
 
-def test_analytics_overhead():
-    run(quick=True)
+def test_analytics_overhead(tmp_path):
+    # The quick campaign must not overwrite the committed full-campaign
+    # report, so its JSON and table go to a temporary directory.
+    out = tmp_path / "BENCH_analytics.json"
+    run(quick=True, out=str(out))
+    assert out.exists() and (tmp_path / "BENCH_analytics.txt").exists()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -120,7 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small campaign (CI smoke)")
     parser.add_argument("--out", default=None,
-                        help="JSON output path (default: "
+                        help="JSON output path, the table is written next "
+                             "to it (default: "
                              "benchmarks/reports/BENCH_analytics.json)")
     args = parser.parse_args(argv)
     run(quick=args.quick, out=args.out)

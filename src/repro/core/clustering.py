@@ -77,7 +77,14 @@ class SampleCluster:
 
     @property
     def depart_s(self) -> float:
-        """Latest sample time: the bus-stop departing point (Fig. 6)."""
+        """Latest sample time: the bus-stop departing point (Fig. 6).
+
+        A max over every member, not the last one: clusters built by
+        hand (e.g. `repro.testkit.scenarios`) may list members in any
+        order.  :func:`cluster_trip_samples` appends in time order, so
+        there the latest member is the last one and it tracks the
+        departure itself instead of calling this.
+        """
         return max(s.time_s for s in self.samples)
 
     def candidates(self) -> List[CandidateStop]:
@@ -127,37 +134,67 @@ def cluster_trip_samples(
 
     Rejected samples (below the γ threshold) must already be filtered
     out by the caller.  Samples are processed in time order; each joins
-    the best-affinity open cluster when the affinity clears ε, else it
-    opens a new cluster.  Clusters are returned in time order.
+    the open cluster whose best member affinity (Eq. 1, as
+    :func:`link_affinity`) clears ε by the most, newest cluster on a
+    tie, else it opens a new cluster.  Clusters are returned in time
+    order.
+
+    The scan is exact but makes no per-pair call: Eq. (1) is written
+    inline in :func:`link_affinity`'s operation order over per-cluster
+    ``(time, station, score)`` rows, and each cluster's departure is
+    tracked as the time of its newest member — members arrive in time
+    order, so that is the ``depart_s`` maximum.  Clusters departing
+    more than ``STALE_AFTER_FACTOR·t0`` before the sample are skipped
+    unscored.
 
     ``registry`` (optional) receives ``clustering_*`` counters and a
     cluster-size histogram.
     """
     config = config or ClusteringConfig()
+    t0 = config.max_interval_s
+    s0 = config.max_similarity
+    threshold = config.threshold
+    stale_gap = STALE_AFTER_FACTOR * t0
     ordered = sorted(matched, key=lambda m: m.time_s)
     clusters: List[SampleCluster] = []
+    #: Per cluster: its departure and one (time, station, score) row per member.
+    departs: List[float] = []
+    rows: List[List[Tuple[float, Optional[int], float]]] = []
     for member in ordered:
-        best_cluster: Optional[SampleCluster] = None
-        best_affinity = config.threshold
+        t = member.sample.time_s
+        station = member.match.station_id
+        score = member.match.score
+        row = (t, station, score)
+        best_index = -1
+        best_affinity = threshold
         # Only recent clusters can absorb the sample (STALE_AFTER_FACTOR).
-        # Stale clusters are skipped, not used to end the scan: depart_s is
-        # NOT monotone over the clusters list — an older cluster that
+        # Stale clusters are skipped, not used to end the scan: departures
+        # are NOT monotone over the clusters list — an older cluster that
         # absorbed a late sample can depart after a newer one — so a stale
         # cluster may sit in front of a still-eligible one.
-        for cluster in reversed(clusters):
-            if member.time_s - cluster.depart_s > STALE_AFTER_FACTOR * config.max_interval_s:
+        for index in range(len(clusters) - 1, -1, -1):
+            if t - departs[index] > stale_gap:
                 continue
-            affinity = max(
-                link_affinity(existing, member, config)
-                for existing in cluster.samples
-            )
+            affinity = None
+            for t_j, station_j, score_j in rows[index]:
+                if station is not None and station == station_j:
+                    match_term = (s0 - abs(score - score_j)) / s0
+                else:
+                    match_term = 0.0
+                value = (t0 - abs(t - t_j)) / t0 + match_term
+                if affinity is None or value > affinity:
+                    affinity = value
             if affinity > best_affinity:
                 best_affinity = affinity
-                best_cluster = cluster
-        if best_cluster is None:
+                best_index = index
+        if best_index < 0:
             clusters.append(SampleCluster(samples=[member]))
+            departs.append(t)
+            rows.append([row])
         else:
-            best_cluster.samples.append(member)
+            clusters[best_index].samples.append(member)
+            departs[best_index] = t
+            rows[best_index].append(row)
     reg = registry if registry is not None else NULL_REGISTRY
     reg.counter(
         "clustering_samples_total", help="matched samples clustered"

@@ -19,7 +19,7 @@ updates the inflation is negligible, so Eq. (4) behaviour is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.config import FusionConfig
@@ -132,4 +132,9 @@ class BayesianSpeedFuser:
         extra = (self.config.staleness_inflation_kmh_per_hr * elapsed_hr) ** 2
         if extra == 0.0:
             return belief
-        return replace(belief, variance=belief.variance + extra)
+        return FusedSpeed(
+            mean_kmh=belief.mean_kmh,
+            variance=belief.variance + extra,
+            last_update_s=belief.last_update_s,
+            observation_count=belief.observation_count,
+        )

@@ -153,6 +153,21 @@ class ServerStats:
         return f"ServerStats({fields})"
 
 
+@dataclass(frozen=True)
+class LegRoute:
+    """The route and directed segments a bus covers between two stops.
+
+    ``segments`` carries each segment's ``length_m`` and
+    ``free_speed_ms`` next to its id; ``total_length`` is their
+    left-to-right ``sum``.  An unreachable pair has no route and no
+    segments.
+    """
+
+    route_id: Optional[str]
+    segments: Tuple[Tuple[SegmentId, float, float], ...]
+    total_length: float
+
+
 @dataclass
 class TripReport:
     """Diagnostics of one trip's journey through the pipeline."""
@@ -258,6 +273,10 @@ class BackendServer:
                 registry=self.registry,
             )
         self._seen_trip_keys: set = set()
+        #: (from station, to station) -> LegRoute, filled on first use.
+        #: The route network never changes, so entries never go stale,
+        #: and the table is bounded by station pairs, not by traffic.
+        self._leg_routes: Dict[Tuple[int, int], LegRoute] = {}
         #: Durable state tier: write-ahead upload ledger + snapshots.
         #: The default NULL_STORE keeps the no-store hot path at one
         #: cached boolean per ingest — same trick as NULL_REGISTRY.
@@ -689,54 +708,46 @@ class BackendServer:
         segments_updated = 0
         route_legs: Dict[str, int] = {}
         observing = self._observing
+        dwell_tail_s = self.config.traffic_model.dwell_tail_s
+        estimate = self.model.estimate
+        update_map = self.traffic_map.update
+        estimates = report.estimates
         for prev, cur in zip(mapped.stops, mapped.stops[1:]):
             if prev.station_id == cur.station_id:
                 continue                      # duplicate cluster of one stop
             # The "departing point" is the last tap heard at the stop, but
             # doors stay open a little longer — subtract the calibrated
             # dwell tail so the leg time is true running time.
-            btt = (
-                cur.arrival_s
-                - prev.depart_s
-                - self.config.traffic_model.dwell_tail_s
-            )
+            btt = cur.arrival_s - prev.depart_s - dwell_tail_s
             if btt <= 0:
                 legs_rejected += 1
                 continue
-            route_id, segments = self._route_between(
-                prev.station_id, cur.station_id
-            )
-            if not segments:
+            leg = self.leg_route(prev.station_id, cur.station_id)
+            if not leg.segments:
                 legs_rejected += 1
                 continue
-            total_length = sum(self.network.segment(s).length_m for s in segments)
+            total_length = leg.total_length
             bus_speed_kmh = ms_to_kmh(total_length / btt)
             if not (_MIN_BUS_SPEED_KMH <= bus_speed_kmh <= _MAX_BUS_SPEED_KMH):
                 legs_rejected += 1
                 continue
             legs_estimated += 1
+            route_id = leg.route_id
             route_legs[route_id] = route_legs.get(route_id, 0) + 1
             # A missing stop merges adjacent road segments into one leg
             # (§III-D); the running time is split over the spanned
             # segments in proportion to their length, which assumes a
             # uniform speed over the leg.
-            leg_segments = 0
-            for segment_id in segments:
-                segment = self.network.segment(segment_id)
-                seg_btt = btt * segment.length_m / total_length
-                estimate = self.model.estimate(
-                    seg_btt, segment.length_m, segment.free_speed_ms
-                )
-                self.traffic_map.update(
-                    segment_id, estimate.speed_kmh, cur.arrival_s
-                )
-                leg_segments += 1
-                report.estimates.append(
-                    (segment_id, estimate.speed_kmh, cur.arrival_s)
-                )
+            at_s = cur.arrival_s
+            for segment_id, length_m, free_speed_ms in leg.segments:
+                seg_btt = btt * length_m / total_length
+                speed_kmh = estimate(seg_btt, length_m, free_speed_ms).speed_kmh
+                update_map(segment_id, speed_kmh, at_s)
+                estimates.append((segment_id, speed_kmh, at_s))
+            leg_segments = len(leg.segments)
             segments_updated += leg_segments
-            self.freshness.observe_update(route_id, cur.arrival_s)
-            if observing and leg_segments:
+            self.freshness.observe_update(route_id, at_s)
+            if observing:
                 self._fam_route_segments.labels(route_id).inc(leg_segments)
         if legs_rejected:
             self.stats.legs_rejected += legs_rejected
@@ -749,14 +760,17 @@ class BackendServer:
         # Dominant route: the one explaining the most legs (ties -> id order).
         return max(sorted(route_legs), key=lambda rid: route_legs[rid])
 
-    def _route_between(
-        self, x: int, y: int
-    ) -> Tuple[Optional[str], List[SegmentId]]:
+    def leg_route(self, x: int, y: int) -> LegRoute:
         """The route and directed segments a bus covers from x to y.
 
         When several routes serve the pair, the one with the fewest
-        intermediate stops is the natural explanation of the leg.
+        intermediate stops is the natural explanation of the leg; on a
+        tie the first route in ``route_network.routes`` order wins.
+        Computed once per station pair and kept.
         """
+        leg = self._leg_routes.get((x, y))
+        if leg is not None:
+            return leg
         best: Optional[Tuple[int, str, List[SegmentId]]] = None
         for route in self.route_network.routes:
             from_order = route.station_order(x)
@@ -771,5 +785,16 @@ class BackendServer:
                     route.segments_between(from_order, to_order),
                 )
         if best is None:
-            return None, []
-        return best[1], best[2]
+            leg = LegRoute(route_id=None, segments=(), total_length=0.0)
+        else:
+            segments = [self.network.segment(s) for s in best[2]]
+            leg = LegRoute(
+                route_id=best[1],
+                segments=tuple(
+                    (s.segment_id, s.length_m, s.free_speed_ms)
+                    for s in segments
+                ),
+                total_length=sum(s.length_m for s in segments),
+            )
+        self._leg_routes[(x, y)] = leg
+        return leg

@@ -4,8 +4,9 @@ Every function here is *deliberately naive*: a full O(n·m) Python
 Smith-Waterman matrix instead of the skewed vectorised kernel, a scan of
 the whole fingerprint database instead of the incidence plan, an
 O(n²) pass over every open cluster instead of the 2·t0 staleness prune,
-and exhaustive enumeration of all Π B_k candidate sequences instead of
-the Viterbi decomposition.  That makes them slow and obviously correct —
+exhaustive enumeration of all Π B_k candidate sequences instead of the
+Viterbi decomposition, and a scan of every route for every leg instead
+of the server's memoized leg table.  That makes them slow and obviously correct —
 the property a differential referee needs.
 
 Tie-breaking is part of the observable contract, so the oracles pin the
@@ -37,6 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.city.geometry import Point
+from repro.city.road_network import SegmentId
+from repro.city.routes import RouteNetwork
 from repro.city.stops import StopRegistry
 from repro.config import ClusteringConfig, MatchingConfig, RadioConfig
 from repro.core.clustering import MatchedSample, SampleCluster
@@ -53,6 +56,7 @@ __all__ = [
     "oracle_cluster_trip_samples",
     "oracle_enumerate_sequences",
     "oracle_map_variants",
+    "oracle_route_between",
     "oracle_smith_waterman",
     "oracle_survey",
 ]
@@ -290,6 +294,37 @@ def oracle_map_variants(
             )
         variants.append(stops)
     return best_score, variants
+
+
+# -- leg routing (§III-D) -----------------------------------------------------
+
+
+def oracle_route_between(
+    route_network: RouteNetwork, x: int, y: int
+) -> Tuple[Optional[str], List[SegmentId]]:
+    """The route and directed segments a bus covers from x to y.
+
+    The per-route scan, run afresh on every call: of the routes serving
+    x before y, the one with the fewest intermediate stops wins, and
+    the first in ``route_network.routes`` order wins a tie.  The
+    server's memoized leg table must hold the same answer per pair.
+    """
+    best: Optional[Tuple[int, str, List[SegmentId]]] = None
+    for route in route_network.routes:
+        from_order = route.station_order(x)
+        to_order = route.station_order(y)
+        if from_order is None or to_order is None or to_order <= from_order:
+            continue
+        hops = to_order - from_order
+        if best is None or hops < best[0]:
+            best = (
+                hops,
+                route.route_id,
+                route.segments_between(from_order, to_order),
+            )
+    if best is None:
+        return None, []
+    return best[1], best[2]
 
 
 # -- cellular scan (§III-A) ---------------------------------------------------

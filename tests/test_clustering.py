@@ -1,5 +1,8 @@
 """Tests for per-bus-stop sample clustering (§III-C2)."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.config import ClusteringConfig
@@ -44,6 +47,51 @@ class TestLinkAffinity:
         close = link_affinity(ms(100.0, 7, 5.0), ms(103.0, 7, 5.0), cfg)
         spread = link_affinity(ms(100.0, 7, 6.9), ms(103.0, 7, 1.0), cfg)
         assert spread < close
+
+
+def _near_threshold_gaps(cfg):
+    """Time gaps that put a pair's affinity on, or within ~1e-12 of, ε
+    for every match term the score grid below can produce."""
+    t0, s0 = cfg.max_interval_s, cfg.max_similarity
+    gaps = []
+    for score_gap in (None, 0.0, 1.5, 3.5, 7.0):
+        match_term = 0.0 if score_gap is None else (s0 - score_gap) / s0
+        edge = t0 * (1.0 - (cfg.threshold - match_term))
+        if edge < 0:
+            continue
+        gaps += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                 edge - 3e-11, edge + 3e-11]
+    return gaps
+
+
+class TestAffinityAgreement:
+    """The clustering scan carries its own inline copy of Eq. (1); it
+    must join a two-sample trip exactly when :func:`link_affinity`
+    clears ε."""
+
+    @pytest.mark.parametrize("threshold", [0.6, 1.3])
+    def test_pair_joins_iff_link_affinity_clears_epsilon(self, threshold):
+        cfg = ClusteringConfig(threshold=threshold)
+        t0 = cfg.max_interval_s
+        base_gaps = [0.0, 1.0, 12.0, t0, math.nextafter(t0, 0.0),
+                     math.nextafter(t0, math.inf), 45.0, 2 * t0, 61.0]
+        gaps = base_gaps + _near_threshold_gaps(cfg)
+        gaps += [-g for g in gaps]
+        scores = (0.0, 2.0, 3.5, 5.5, 7.0)
+        stations = ((7, 7), (7, 8), (None, 7), (7, None), (None, None))
+        near_epsilon = 0
+        for gap, (score_a, score_b), (station_a, station_b) in itertools.product(
+            gaps, itertools.product(scores, repeat=2), stations
+        ):
+            a = ms(100.0, station_a, score_a)
+            b = ms(100.0 + gap, station_b, score_b)
+            affinity = link_affinity(a, b, cfg)
+            near_epsilon += abs(affinity - threshold) < 1e-12
+            clusters = cluster_trip_samples([a, b], cfg)
+            joined = len(clusters) == 1
+            assert joined == (affinity > threshold), (gap, score_a, score_b,
+                                                      station_a, station_b)
+        assert near_epsilon > 0
 
 
 class TestClustering:

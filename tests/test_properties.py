@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.city.geometry import Point, Polyline
@@ -17,6 +17,7 @@ from repro.eval.metrics import Cdf
 from repro.phone.cellular import CellularSample
 from repro.core.matching import MatchResult
 from repro.sim.events import Simulator
+from repro.testkit import oracle_cluster_trip_samples
 from repro.testkit import oracle_smith_waterman as smith_waterman
 
 # -- strategies ----------------------------------------------------------------
@@ -264,6 +265,61 @@ class TestClusteringProperties:
         for cluster in cluster_trip_samples(samples):
             total = sum(c.probability for c in cluster.candidates())
             assert total <= 1.0 + 1e-9
+
+
+_T0 = ClusteringConfig().max_interval_s
+
+#: Gaps between consecutive sample times: repeats, the ±t0 edge of the
+#: time term, both sides of the 2·t0 staleness prune, and a free draw.
+_cluster_gaps = st.one_of(
+    st.sampled_from([
+        0.0, 1.0, 5.0, 20.0, _T0, math.nextafter(_T0, 0.0),
+        math.nextafter(_T0, math.inf),
+        math.nextafter(2 * _T0, 0.0), 2 * _T0,
+        math.nextafter(2 * _T0, math.inf),
+    ]),
+    st.floats(min_value=0.0, max_value=90.0),
+)
+_cluster_entries = st.lists(
+    st.tuples(
+        _cluster_gaps,
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        st.one_of(
+            st.sampled_from([0.0, 3.5, 7.0]),
+            st.floats(min_value=0.0, max_value=7.0),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.property
+class TestClusteringDifferential:
+    @given(_cluster_entries, st.randoms(use_true_random=False))
+    # An older cluster absorbs a late sample after a newer one formed,
+    # so departures are not monotone over the clusters list.
+    @example(
+        [(0.0, 1, 5.0), (20.0, 2, 5.0), (5.0, 1, 5.0), (20.0, 1, 5.0),
+         (40.0, 1, 5.0)],
+        None,
+    )
+    def test_equals_quadratic_oracle(self, entries, shuffle):
+        """The pruned, call-free scan clusters exactly like the O(n²)
+        oracle, member for member, and tracks each departure."""
+        samples = []
+        t = 0.0
+        for gap, station, score in entries:
+            t += gap
+            samples.append(_matched(t, station, score))
+        if shuffle is not None:
+            shuffle.shuffle(samples)
+        clusters = cluster_trip_samples(samples)
+        oracle = oracle_cluster_trip_samples(samples)
+        assert [[id(m) for m in c.samples] for c in clusters] == [
+            [id(m) for m in members] for members in oracle
+        ]
+        for cluster in clusters:
+            assert cluster.depart_s == cluster.samples[-1].time_s
 
 
 class TestFusionProperties:

@@ -5,12 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.city import build_city
+from repro.city.geometry import Point
+from repro.city.road_network import RoadNetwork
+from repro.city.routes import BusRoute, RouteNetwork
+from repro.city.stops import StopRegistry, make_two_sided_station
 from repro.core import BackendServer, ServerStats
 from repro.obs import MetricsRegistry, Tracer
 from repro.phone import CellularSampler, record_participant_trips
 from repro.phone.cellular import CellularSample
 from repro.phone.trip_recorder import TripUpload
 from repro.sim.bus import simulate_bus_trip
+from repro.testkit.oracles import oracle_route_between
 from repro.util.units import parse_hhmm
 
 
@@ -110,6 +116,65 @@ class TestReceiveTrip:
         )
         report = server.receive_trip(TripUpload("short", samples))
         assert report.estimates == []
+
+
+class TestLegTable:
+    """The memoized leg table against the per-route scan it replaced."""
+
+    def test_every_station_pair_matches_the_oracle(self, database, config):
+        city = build_city()
+        network, routes = city.network, city.route_network
+        server = BackendServer(network, routes, database, config)
+        same = unreachable = multi = 0
+        for x, y in itertools.product(routes.station_ids, repeat=2):
+            leg = server.leg_route(x, y)
+            route_id, segments = oracle_route_between(routes, x, y)
+            assert leg.route_id == route_id
+            assert [s for s, _, _ in leg.segments] == segments
+            for segment_id, length_m, free_speed_ms in leg.segments:
+                segment = network.segment(segment_id)
+                assert length_m == segment.length_m
+                assert free_speed_ms == segment.free_speed_ms
+            assert leg.total_length == sum(
+                network.segment(s).length_m for s in segments
+            )
+            assert server.leg_route(x, y) is leg
+            same += x == y
+            unreachable += route_id is None
+            multi += sum(
+                1 for r in routes.routes
+                if r.serves(x) and r.serves(y)
+                and r.station_order(x) < r.station_order(y)
+            ) > 1
+        assert same and unreachable > same and multi
+
+    def test_total_length_sums_left_to_right(self, database, config):
+        # Irregular spacing, so the order of the sum shows in the bits.
+        net = RoadNetwork()
+        xs = [0.0, 130.7, 377.9, 791.3, 1000.1]
+        reg = StopRegistry()
+        for i, x in enumerate(xs):
+            net.add_node(i, Point(x, 0.0))
+            reg.add_station(
+                make_two_sided_station(i, f"St {i}", Point(x, 0.0), 0.0)
+            )
+        for i in range(len(xs) - 1):
+            net.add_road(i, i + 1)
+        routes = RouteNetwork(
+            [BusRoute("A-0", "A", 0, list(range(len(xs))), net, reg)]
+        )
+        server = BackendServer(net, routes, database, config)
+        lengths = [net.segment((i, i + 1)).length_m for i in range(len(xs) - 1)]
+        assert sum(lengths) != sum(reversed(lengths))
+        leg = server.leg_route(0, len(xs) - 1)
+        assert leg.total_length == sum(lengths)
+        assert [length for _, length, _ in leg.segments] == lengths
+
+    def test_table_fills_lazily(self, small_city, database, config):
+        server = BackendServer(
+            small_city.network, small_city.route_network, database, config
+        )
+        assert server._leg_routes == {}
 
 
 class TestDuplicateUploads:
