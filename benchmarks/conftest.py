@@ -4,6 +4,9 @@ The heavy campaign (all 16 directed routes, 07:00–20:00) is simulated
 once per benchmark session and shared by the Fig. 9/10/11 benches.
 Every bench renders its paper-vs-measured rows with :func:`report`,
 which both prints them and archives them under ``benchmarks/reports/``.
+Benches whose rows hold wall-clock timings archive to a temporary
+directory under pytest and to ``benchmarks/reports/`` only when run
+directly, so a test run leaves the committed reports as they are.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ DAY_START = parse_hhmm("07:00")
 DAY_END = parse_hhmm("20:00")
 
 
-def report(name: str, text: str) -> None:
-    """Print a bench's table and archive it under benchmarks/reports/."""
+def report(name: str, text: str, report_dir: str = REPORT_DIR) -> None:
+    """Print a bench's table and archive it under ``report_dir``
+    (default ``benchmarks/reports/``)."""
     print()
     print(f"===== {name} =====")
     print(text)
-    os.makedirs(REPORT_DIR, exist_ok=True)
-    with open(os.path.join(REPORT_DIR, f"{name}.txt"), "w", encoding="utf-8") as out:
+    os.makedirs(report_dir, exist_ok=True)
+    with open(os.path.join(report_dir, f"{name}.txt"), "w", encoding="utf-8") as out:
         out.write(text + "\n")
 
 

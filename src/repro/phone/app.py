@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.phone.accel import TransitModeFilter
 from repro.phone.beep import BeepDetector
-from repro.phone.cellular import CellularSample, CellularSampler
+from repro.phone.cellular import CellularSampler
 from repro.phone.trip_recorder import TripRecorder, TripUpload
+from repro.radio.scanner import PendingScan
 from repro.sim.audio import synthesize_cabin_audio, synthesize_motion
 from repro.sim.bus import BusTripTrace, ParticipantRide, StopVisit
 from repro.util.rng import SeedLike, ensure_rng
@@ -91,10 +92,15 @@ class PhoneAgent:
             for v in trace.visits
             if ride.board_order <= v.stop_order <= ride.alight_order and v.served
         ]
+        # Walk the ride drawing each beep's scan noise in stream order; the
+        # recorder reads only sample times and draws nothing, so the scans
+        # are evaluated together afterwards and fed in the same order.
+        pending: List[Tuple[float, PendingScan]] = []
         for visit in onboard_visits:
-            for sample in self._samples_at_stop(trace, visit, ride):
-                recorder.on_beep(sample, looks_like_bus=looks_like_bus)
-            self._maybe_false_sample(recorder, trace, visit, looks_like_bus)
+            pending.extend(self._draws_at_stop(trace, visit))
+            self._maybe_false_draw(pending, trace, visit)
+        for sample in self.sampler.evaluate(pending):
+            recorder.on_beep(sample, looks_like_bus=looks_like_bus)
 
         if onboard_visits:
             # Ride over: the 10-minute silence timeout concludes the trip.
@@ -120,9 +126,9 @@ class PhoneAgent:
         trace = synthesize_motion("bus", 60.0, self.config.accel, self._rng)
         return TransitModeFilter(self.config.accel).is_bus(trace.samples)
 
-    def _samples_at_stop(
-        self, trace: BusTripTrace, visit: StopVisit, ride: ParticipantRide
-    ) -> List[CellularSample]:
+    def _draws_at_stop(
+        self, trace: BusTripTrace, visit: StopVisit
+    ) -> List[Tuple[float, PendingScan]]:
         taps = [t for t in trace.taps if t.stop_order == visit.stop_order]
         if not taps:
             return []
@@ -136,13 +142,15 @@ class PhoneAgent:
         else:
             detected_times = self._detect_with_dsp([t.time_s for t in taps])
         return [
-            self.sampler.sample(
-                platform.position.offset(
-                    float(self._rng.normal(0.0, 2.0)),
-                    float(self._rng.normal(0.0, 2.0)),
-                ),
+            (
                 time_s,
-                self._rng,
+                self.sampler.draw(
+                    platform.position.offset(
+                        float(self._rng.normal(0.0, 2.0)),
+                        float(self._rng.normal(0.0, 2.0)),
+                    ),
+                    self._rng,
+                ),
             )
             for time_s in sorted(detected_times)
         ]
@@ -160,12 +168,11 @@ class PhoneAgent:
         events = BeepDetector(self.config.beep).process(audio)
         return [start + e.time_s for e in events]
 
-    def _maybe_false_sample(
+    def _maybe_false_draw(
         self,
-        recorder: TripRecorder,
+        pending: List[Tuple[float, PendingScan]],
         trace: BusTripTrace,
         visit: StopVisit,
-        looks_like_bus: bool,
     ) -> None:
         """Occasionally a mid-road noise burst masquerades as a beep."""
         if self._rng.random() >= self.config.riders.false_sample_probability:
@@ -183,10 +190,7 @@ class PhoneAgent:
         self.metrics.counter(
             "phone_false_samples_total", help="mid-road noise bursts taken as beeps"
         ).inc()
-        recorder.on_beep(
-            self.sampler.sample(where, when, self._rng),
-            looks_like_bus=looks_like_bus,
-        )
+        pending.append((when, self.sampler.draw(where, self._rng)))
 
 
 def record_participant_trips(

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.city.geometry import Point
-from repro.radio.scanner import CellularScanner, Observation
+from repro.radio.scanner import CellularScanner, Observation, PendingScan
 from repro.radio.towers import check_cell_ids
 from repro.util.rng import SeedLike
 
@@ -55,3 +55,21 @@ class CellularSampler:
     def sample(self, where: Point, time_s: float, rng: SeedLike = None) -> CellularSample:
         """Capture one cellular sample at the phone's physical location."""
         return CellularSample.from_observation(time_s, self._scanner.scan(where, rng))
+
+    def draw(self, where: Point, rng: SeedLike = None) -> PendingScan:
+        """Draw a sample's noise now; :meth:`evaluate` gives the sample."""
+        return self._scanner.draw(where, rng)
+
+    def evaluate(
+        self, pending: Sequence[Tuple[float, PendingScan]]
+    ) -> List[CellularSample]:
+        """The sample of each ``(time_s, draw)``, in order, in one batch.
+
+        Equal to calling :meth:`sample` at each draw's place in the
+        random stream.
+        """
+        observations = self._scanner.evaluate([scan for _, scan in pending])
+        return [
+            CellularSample.from_observation(time_s, observation)
+            for (time_s, _), observation in zip(pending, observations)
+        ]

@@ -5,12 +5,22 @@ phone normally can capture the signals from multiple cell towers at one
 time ... We order their cell IDs according to their Received Signal
 Strengths and use such an ordered set to signature each bus stop"
 (§III-A).
+
+A scan uses randomness for one thing only: one temporal-noise value per
+candidate tower, and which towers are candidates depends on the
+receiver alone.  So a scan splits into a *draw*, which takes that noise
+at the scan's place in the random stream, and an *evaluate*, which may
+run later and batched with other scans: the shadow field is keyed, not
+drawn from the stream.  :meth:`CellularScanner.draw` and
+:meth:`CellularScanner.evaluate` expose the two halves;
+:meth:`CellularScanner.scan_many` is the same evaluation after one noise
+draw for a whole chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +30,13 @@ from repro.radio.propagation import PropagationModel
 from repro.radio.towers import CellTower
 from repro.util.rng import SeedLike, ensure_rng
 
-# Scans per numpy pass of :meth:`CellularScanner.scan_many`.
+# Scans per numpy pass of :meth:`CellularScanner.scan_many` and
+# :meth:`CellularScanner.evaluate`.
 SCAN_CHUNK = 64
+# Candidate prefilter: beyond ~4 km a macro cell cannot clear the
+# sensitivity floor in this model, so a scan skips the full RSS there.
+# The candidate count also fixes how much noise stream a scan uses.
+PREFILTER_M = 4000.0
 # Slack below the sensitivity floor within which a candidate's RSS is
 # recomputed with the scalar formula.  The numpy RSS differs from that
 # formula by ~1e-14 dB, eight orders of magnitude less.
@@ -55,6 +70,21 @@ class Observation:
         if not self.tower_ids:
             raise ValueError("empty observation has no serving tower")
         return self.tower_ids[0]
+
+
+class PendingScan(NamedTuple):
+    """A noisy scan whose noise is drawn and whose field is not evaluated.
+
+    ``towers`` are the receiver's candidates (tower indices within
+    ``PREFILTER_M``, in tower order), ``distances`` their prefilter
+    distances and ``noise`` the temporal noise drawn for each.
+    """
+
+    x: float
+    y: float
+    towers: np.ndarray
+    distances: np.ndarray
+    noise: np.ndarray
 
 
 class CellularScanner:
@@ -111,24 +141,71 @@ class CellularScanner:
         """Noise-free scan of the long-term mean field (for analysis)."""
         return self._scan_many([where], None)[0]
 
+    def draw(self, where: Point, rng: SeedLike = None) -> PendingScan:
+        """The random half of ``scan(where, rng)``, drawn now.
+
+        Takes from ``rng`` exactly what that scan would (its candidates'
+        noise) and nothing else; :meth:`evaluate` then gives the same
+        observation.  The result does not depend on when it is evaluated,
+        so draws may be interleaved with other uses of ``rng``.
+        """
+        distances = np.hypot(self._x - where.x, self._y - where.y)
+        towers = np.flatnonzero(distances < PREFILTER_M)
+        noise = ensure_rng(rng).normal(
+            0.0, self.config.temporal_sigma_db, size=len(towers)
+        )
+        return PendingScan(where.x, where.y, towers, distances[towers], noise)
+
+    def evaluate(self, pending: Sequence[PendingScan]) -> List[Observation]:
+        """The observation of each drawn scan, in order, ``SCAN_CHUNK`` a pass."""
+        observations: List[Observation] = []
+        for start in range(0, len(pending), SCAN_CHUNK):
+            chunk = pending[start : start + SCAN_CHUNK]
+            observations.extend(
+                self._evaluate(
+                    np.array([(p.x, p.y) for p in chunk], dtype=float),
+                    np.repeat(np.arange(len(chunk)), [len(p.towers) for p in chunk]),
+                    np.concatenate([p.towers for p in chunk]),
+                    np.concatenate([p.distances for p in chunk]),
+                    np.concatenate([p.noise for p in chunk]),
+                )
+            )
+        return observations
+
     def _scan_many(
         self, points: Sequence[Point], rng: Optional[np.random.Generator]
     ) -> List[Observation]:
         observations: List[Observation] = []
         for start in range(0, len(points), SCAN_CHUNK):
             chunk = points[start : start + SCAN_CHUNK]
-            observations.extend(self._scan_chunk(chunk, rng))
+            # One distance pass and one noise draw for the chunk's scans.
+            xy = np.array([(p.x, p.y) for p in chunk], dtype=float)
+            distances = np.hypot(self._x - xy[:, :1], self._y - xy[:, 1:])
+            owner, towers = np.nonzero(distances < PREFILTER_M)
+            noise = None
+            if rng is not None:
+                noise = rng.normal(
+                    0.0, self.config.temporal_sigma_db, size=len(towers)
+                )
+            observations.extend(
+                self._evaluate(xy, owner, towers, distances[owner, towers], noise)
+            )
         return observations
 
-    def _scan_chunk(
-        self, points: Sequence[Point], rng: Optional[np.random.Generator]
+    def _evaluate(
+        self,
+        xy: np.ndarray,
+        owner: np.ndarray,
+        towers: np.ndarray,
+        distances: np.ndarray,
+        noise: Optional[np.ndarray],
     ) -> List[Observation]:
-        # Pre-filter by distance: beyond ~4 km a macro cell cannot clear the
-        # sensitivity floor in this model, so skip the full RSS computation.
-        # The candidate count also fixes how much noise stream a scan uses.
-        xy = np.array([(p.x, p.y) for p in points], dtype=float)
-        distances = np.hypot(self._x - xy[:, :1], self._y - xy[:, 1:])
-        owner, towers = np.nonzero(distances < 4000.0)
+        """Observations of the receivers ``xy`` from their candidate pairs.
+
+        Pair ``i`` is tower ``towers[i]`` at ``distances[i]`` from receiver
+        ``owner[i]``, with temporal noise ``noise[i]`` (``None``: the mean
+        field).  Pairs are grouped by receiver, in tower order.
+        """
         columns = self._columns[towers]
         tx_power = self._tx_power[towers]
         shadow = self.propagation.shadow_db(columns, xy, owner)
@@ -136,18 +213,17 @@ class CellularScanner:
         # The numpy path loss is within a few ulp of the scalar formula, so a
         # candidate more than PRUNE_MARGIN_DB below the floor here is below it
         # there too: only the rest pay for the scalar formula.
-        approx_loss = self.propagation.approx_path_loss_db(distances[owner, towers])
+        approx_loss = self.propagation.approx_path_loss_db(distances)
         rss = tx_power - approx_loss - shadow
-        if rng is not None:
-            noise = rng.normal(0.0, self.config.temporal_sigma_db, size=len(towers))
+        if noise is not None:
             rss = rss + noise
         near = np.flatnonzero(rss >= floor - PRUNE_MARGIN_DB)
         owner, towers = owner[near].tolist(), towers[near].tolist()
         # Few candidates are left: the scalar formula, one at a time.
         path_loss = self.propagation.path_loss_db
         x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
-        extra = noise[near].tolist() if rng is not None else None
-        scans: List[List[Tuple[float, int]]] = [[] for _ in points]
+        extra = noise[near].tolist() if noise is not None else None
+        scans: List[List[Tuple[float, int]]] = [[] for _ in range(len(xy))]
         for k, (j, t, s) in enumerate(zip(owner, towers, shadow[near].tolist())):
             tower_x, tower_y, power, tower_id = self._scalars[t]
             value = power - path_loss(tower_x - x[j], tower_y - y[j]) - s

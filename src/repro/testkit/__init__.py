@@ -5,11 +5,12 @@ route-constrained sequence mapping — are hot paths that keep being
 rewritten for speed.  This package is their standing referee:
 
 * :mod:`repro.testkit.oracles` — deliberately naive, spec-literal
-  implementations of the three estimators and of the cellular scan,
-  used as differential-testing references.  They trade every
-  optimisation (inverted indexes, vectorised DP, Viterbi decomposition,
-  staleness pruning, batched radio draws) for line-by-line fidelity to
-  §III of the paper.
+  implementations of the three estimators, of the cellular scan and of
+  the phone's per-beep ride, used as differential-testing references.
+  They trade every optimisation (inverted indexes, vectorised DP,
+  Viterbi decomposition, staleness pruning, batched radio draws,
+  per-ride scan evaluation) for line-by-line fidelity to §III of the
+  paper.
 * :mod:`repro.testkit.scenarios` — randomized scenario generators for
   each estimator plus the fixed end-to-end *golden* scenario.
 * :mod:`repro.testkit.golden` — records a full end-to-end run (uploads,

@@ -6,8 +6,9 @@ the whole fingerprint database instead of the incidence plan, an
 O(n²) pass over every open cluster instead of the 2·t0 staleness prune,
 exhaustive enumeration of all Π B_k candidate sequences instead of the
 Viterbi decomposition, and a scan of every route for every leg instead
-of the server's memoized leg table.  That makes them slow and obviously correct —
-the property a differential referee needs.
+of the server's memoized leg table, and one immediate scan per detected
+beep instead of the phone's batched per-ride evaluation.  That makes them
+slow and obviously correct — the property a differential referee needs.
 
 Tie-breaking is part of the observable contract, so the oracles pin the
 same deterministic choices the optimized paths make:
@@ -22,7 +23,9 @@ The radio oracle is the per-tower scalar scan (§III-A): one
 draw per candidate tower.  The core scanner must return the same
 observation and leave the phone's Generator in the same state.  The
 survey oracle (§IV-A) makes one such scan per sample, station by
-station, and stores each station's medoid on its own.
+station, and stores each station's medoid on its own.  The phone oracle
+(§III-B) feeds the trip recorder one sample per beep, scanned when the
+beep is heard.
 
 All arithmetic uses the same IEEE-754 double operations in the same
 association order as the optimized code, so comparisons are exact
@@ -46,8 +49,12 @@ from repro.core.clustering import MatchedSample, SampleCluster
 from repro.core.fingerprint import FingerprintDatabase
 from repro.core.matching import MatchResult
 from repro.core.trip_mapping import MappedStop, DROP_EPSILON
+from repro.phone.app import DspMode, PhoneAgent
+from repro.phone.cellular import CellularSample
+from repro.phone.trip_recorder import TripRecorder, TripUpload
 from repro.radio.scanner import Observation
 from repro.radio.towers import CellTower
+from repro.sim.bus import BusTripTrace, ParticipantRide, StopVisit
 from repro.util.rng import field_rng
 
 __all__ = [
@@ -436,3 +443,99 @@ def oracle_survey(
         if samples:
             db.set_from_samples(station.station_id, samples)
     return db
+
+
+# -- the phone's ride (§III-B) ------------------------------------------------
+
+
+class OraclePhoneAgent(PhoneAgent):
+    """A :class:`repro.phone.PhoneAgent` that scans each beep when heard.
+
+    Every detected beep takes one :meth:`CellularSampler.sample` call at
+    its place in the walk and goes straight to the trip recorder.  The
+    agent's deferred, per-ride batch evaluation must give the same
+    uploads and leave the Generator in the same state.
+    """
+
+    def ride_and_record(
+        self, trace: BusTripTrace, ride: ParticipantRide
+    ) -> List[TripUpload]:
+        recorder = TripRecorder(
+            self.config.trip_recorder,
+            phone_id=self.phone_id,
+            registry=self.metrics,
+        )
+        looks_like_bus = self._motion_verdict()
+
+        onboard_visits = [
+            v
+            for v in trace.visits
+            if ride.board_order <= v.stop_order <= ride.alight_order and v.served
+        ]
+        for visit in onboard_visits:
+            for sample in self._samples_at_stop(trace, visit, ride):
+                recorder.on_beep(sample, looks_like_bus=looks_like_bus)
+            self._maybe_false_sample(recorder, trace, visit, looks_like_bus)
+
+        if onboard_visits:
+            last = max(v.depart_s for v in onboard_visits)
+            recorder.on_tick(last + self.config.trip_recorder.trip_timeout_s)
+        uploads = recorder.drain_completed()
+        self.metrics.counter(
+            "phone_uploads_total", help="trips completed by phone agents"
+        ).inc(len(uploads))
+        return uploads
+
+    def _samples_at_stop(
+        self, trace: BusTripTrace, visit: StopVisit, ride: ParticipantRide
+    ) -> List[CellularSample]:
+        taps = [t for t in trace.taps if t.stop_order == visit.stop_order]
+        if not taps:
+            return []
+        platform = self.registry.platform(visit.stop_id)
+        if self.mode is DspMode.FAST:
+            detected_times = [
+                tap.time_s
+                for tap in taps
+                if self._rng.random() < self.config.riders.beep_detect_probability
+            ]
+        else:
+            detected_times = self._detect_with_dsp([t.time_s for t in taps])
+        return [
+            self.sampler.sample(
+                platform.position.offset(
+                    float(self._rng.normal(0.0, 2.0)),
+                    float(self._rng.normal(0.0, 2.0)),
+                ),
+                time_s,
+                self._rng,
+            )
+            for time_s in sorted(detected_times)
+        ]
+
+    def _maybe_false_sample(
+        self,
+        recorder: TripRecorder,
+        trace: BusTripTrace,
+        visit: StopVisit,
+        looks_like_bus: bool,
+    ) -> None:
+        if self._rng.random() >= self.config.riders.false_sample_probability:
+            return
+        next_visits = [v for v in trace.visits if v.stop_order == visit.stop_order + 1]
+        if not next_visits:
+            return
+        here = self.registry.station(visit.station_id).position
+        there = self.registry.station(next_visits[0].station_id).position
+        frac = float(self._rng.uniform(0.2, 0.8))
+        where = here.offset((there.x - here.x) * frac, (there.y - here.y) * frac)
+        when = visit.depart_s + frac * max(
+            next_visits[0].arrival_s - visit.depart_s, 1.0
+        )
+        self.metrics.counter(
+            "phone_false_samples_total", help="mid-road noise bursts taken as beeps"
+        ).inc()
+        recorder.on_beep(
+            self.sampler.sample(where, when, self._rng),
+            looks_like_bus=looks_like_bus,
+        )

@@ -1,12 +1,15 @@
 """Tests for the phone agent (the data-collection app)."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.phone.app import DspMode, PhoneAgent, record_participant_trips
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.bus import simulate_bus_trip
+from repro.testkit.oracles import OraclePhoneAgent
 from repro.util.units import parse_hhmm
 
 
@@ -98,3 +101,49 @@ class TestFullDspMode:
         ])
         for sample in upload.samples:
             assert np.min(np.abs(tap_times - sample.time_s)) < 1.0
+
+
+class TestAgainstPerBeepOracle:
+    """The per-ride batch evaluation against one immediate scan per beep:
+    same uploads (keys, times, tower ids, RSS floats), same counters and
+    the same Generator state after every ride."""
+
+    @staticmethod
+    def _walk(cls, small_city, sampler, config, mode, rides, trace):
+        rng = np.random.default_rng(11)
+        metrics = MetricsRegistry()
+        uploads = []
+        for ride in rides:
+            agent = cls(
+                phone_id=f"rider-{ride.rider_id}",
+                sampler=sampler,
+                registry=small_city.registry,
+                config=config,
+                mode=mode,
+                rng=rng,
+                metrics=metrics,
+            )
+            uploads.append(agent.ride_and_record(trace, ride))
+            uploads.append(rng.bit_generator.state)
+        return uploads, metrics.as_dict()
+
+    @pytest.mark.parametrize("false_sample_probability", [0.01, 0.5])
+    @pytest.mark.parametrize("mode", [DspMode.FAST, DspMode.FULL])
+    def test_equals_oracle(
+        self, small_city, sampler, config, trace, mode, false_sample_probability
+    ):
+        config = dataclasses.replace(
+            config,
+            riders=dataclasses.replace(
+                config.riders, false_sample_probability=false_sample_probability
+            ),
+        )
+        rides = trace.participants if mode is DspMode.FAST else trace.participants[:3]
+        batched = self._walk(PhoneAgent, small_city, sampler, config, mode, rides, trace)
+        oracle = self._walk(
+            OraclePhoneAgent, small_city, sampler, config, mode, rides, trace
+        )
+        assert batched == oracle
+        assert sum(len(u.samples) for ups in batched[0][::2] for u in ups) > 0
+        if false_sample_probability == 0.5:
+            assert batched[1]["counters"]["phone_false_samples_total"] > 0

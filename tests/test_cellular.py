@@ -48,3 +48,14 @@ class TestCellularSampler:
         ]
         most_common = max(set(serving), key=serving.count)
         assert serving.count(most_common) >= 7
+
+    def test_deferred_samples_equal_immediate_ones(self, small_city, sampler):
+        stops = [s.stops[0].position for s in small_city.registry.stations[:4]]
+        rng = np.random.default_rng(3)
+        pending = [(10.0 * k, sampler.draw(where, rng)) for k, where in enumerate(stops)]
+        rng_ref = np.random.default_rng(3)
+        expected = [
+            sampler.sample(where, 10.0 * k, rng_ref) for k, where in enumerate(stops)
+        ]
+        assert sampler.evaluate(pending) == expected
+        assert rng.bit_generator.state == rng_ref.bit_generator.state

@@ -9,7 +9,8 @@ amount of noise stream consumed.
 ``scan_many`` is held to successive oracle scans too, down to the
 Generator state, including candidates whose RSS sits within 1e-9 dB of
 the sensitivity floor, where the pruning by the numpy RSS must not decide
-anything the scalar formula would not.
+anything the scalar formula would not.  So are scans drawn one at a time
+between other uses of the Generator and evaluated later in a batch.
 
 The batched lattice draw is checked on its own too: its literal
 ziggurat tables against numpy, its values bit for bit against
@@ -134,6 +135,8 @@ class TestScanAgainstOracle:
             scanner.scan_many([Point(100.0, 100.0), Point(*xy)], 0)
         with pytest.raises((ValueError, OverflowError)):
             scanner.mean_scan(Point(*xy))
+        with pytest.raises((ValueError, OverflowError)):
+            scanner.evaluate([scanner.draw(Point(*xy), 0)])
 
     def test_no_candidate_tower_is_an_empty_scan(self):
         scanner, oracle = _pair(7)
@@ -188,6 +191,110 @@ class TestScanManyAgainstOracle:
         assert list(batched._row) == list(single._row)
         used = len(single._row)
         assert batched._memo[:used].tobytes() == single._memo[:used].tobytes()
+
+
+# One step of a walk over a shared Generator: a draw the phone makes
+# between scans, a scan at a point, or the end of a ride (evaluate what
+# is pending).
+walk_steps = st.one_of(
+    st.sampled_from(["random", "normal", "uniform", "end_ride"]),
+    st.tuples(st.just("scan"), st.one_of(inside, st.just(FAR))),
+)
+
+
+def _other_draw(rng, step):
+    if step == "random":
+        return rng.random()
+    if step == "normal":
+        return float(rng.normal(0.0, 2.0))
+    return float(rng.uniform(0.2, 0.8))
+
+
+def _deferred_walk(scanner, steps, rng):
+    """Draw each scan in the walk, evaluate a ride's scans at its end."""
+    observations, pending, others = [], [], []
+    for step in steps + ["end_ride"]:
+        if step == "end_ride":
+            observations.extend(scanner.evaluate(pending))
+            pending = []
+        elif isinstance(step, tuple):
+            pending.append(scanner.draw(Point(*step[1]), rng))
+        else:
+            others.append(_other_draw(rng, step))
+    return observations, others
+
+
+def _immediate_walk(oracle, steps, rng):
+    observations, others = [], []
+    for step in steps:
+        if isinstance(step, tuple):
+            observations.append(oracle.scan(Point(*step[1]), rng))
+        elif step != "end_ride":
+            others.append(_other_draw(rng, step))
+    return observations, others
+
+
+def _assert_deferred_equals_oracle(seed, steps, rng_seed):
+    radio = RadioConfig()
+    scanner = CellularScanner(TOWERS, PropagationModel(radio, seed=seed), radio)
+    oracle = _fast_oracle(TOWERS, radio, seed)
+    fast_rng = np.random.default_rng(rng_seed)
+    slow_rng = np.random.default_rng(rng_seed)
+    fast, fast_others = _deferred_walk(scanner, steps, fast_rng)
+    slow, slow_others = _immediate_walk(oracle, steps, slow_rng)
+    assert [o.tower_ids for o in fast] == [o.tower_ids for o in slow]
+    assert [o.rss_dbm for o in fast] == [o.rss_dbm for o in slow]
+    assert fast_others == slow_others
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@pytest.mark.property
+class TestDeferredScansAgainstOracle:
+    """``draw`` at the scan's place in the stream, ``evaluate`` later."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seeds, st.lists(walk_steps, max_size=60), st.integers(0, 2**31))
+    def test_interleaved_walk_equals_immediate_scans(self, seed, steps, rng_seed):
+        _assert_deferred_equals_oracle(seed, steps, rng_seed)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seeds,
+        st.lists(st.one_of(inside, st.just(FAR)), min_size=1, max_size=3),
+        st.integers(SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 9),
+        st.integers(0, 2**31),
+    )
+    def test_ride_longer_than_a_chunk(self, seed, distinct, length, rng_seed):
+        steps = []
+        for k in range(length):
+            steps += ["normal", "normal", ("scan", distinct[k % len(distinct)])]
+            if k % 5 == 4:
+                steps.append("random")
+        _assert_deferred_equals_oracle(seed, steps, rng_seed)
+
+    def test_far_point_draws_nothing(self):
+        scanner, _ = _pair(7)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        pending = scanner.draw(Point(*FAR), rng)
+        assert len(pending.towers) == len(pending.noise) == 0
+        assert rng.bit_generator.state == before
+        assert scanner.evaluate([pending]) == [scanner.scan(Point(*FAR), 0)]
+
+    def test_evaluate_nothing(self):
+        scanner, _ = _pair(7)
+        assert scanner.evaluate([]) == []
+
+    def test_evaluation_order_does_not_matter(self):
+        # The field is keyed, not drawn: evaluating a later draw first
+        # gives every scan the same observation.
+        scanner, oracle = _pair(5)
+        points = [Point(300.0 + 170.0 * k, 200.0 + 90.0 * k) for k in range(6)]
+        rng = np.random.default_rng(4)
+        pending = [scanner.draw(where, rng) for where in points]
+        backwards = scanner.evaluate(pending[::-1])[::-1]
+        rng = np.random.default_rng(4)
+        assert backwards == [oracle.scan(where, rng) for where in points]
 
 
 class TestSensitivityFloorEdge:
