@@ -2,22 +2,27 @@
 
 One campaign's uploads are generated once, then their cellular samples
 are re-matched upload by upload (``match_many``, exactly as ingest
-calls it) by the one production matcher: incidence plan, pruned
-kernel.  It runs ``PASSES`` passes, each with a fresh matcher as a new
-server builds it; the report keeps the first and the best pass.
+calls it) by the one production matcher: incidence plan, pruning,
+match-pattern table.  It runs ``PASSES`` passes, each with a fresh
+matcher as a new server builds it; the report keeps the first pass
+(which builds the process's pattern table on its first batch) and the
+best, the table's build time on its own, and how many ``_sw_kernel``
+calls a pass makes (pairs the table cannot answer).
 Before any number is published, every
 verdict (station, score bits, common ids) and the logical candidate-pool
 accounting (``matcher_pairs_scored``) are compared exactly against
 :class:`repro.testkit.OracleMatcher`'s whole-database scan — the bench
 exits nonzero rather than report a speed bought with a wrong verdict.
 
-Results land in ``benchmarks/reports/BENCH_matching.json`` (plus a
-human-readable table in ``BENCH_matching.txt``).  ``--quick`` shrinks
-the campaign for the CI smoke step.
+Results land in ``benchmarks/reports/BENCH_matching.json`` plus a
+human-readable table in ``BENCH_matching.txt`` beside it; ``--out``
+moves both (the table takes the JSON path's stem).  ``--quick`` shrinks
+the campaign for a smoke run, which should write elsewhere: the
+committed report is a default run.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/bench_matching.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_matching.py [--quick] [--out PATH]
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.core import matching                           # noqa: E402
 from repro.core.match_index import canonical_key          # noqa: E402
 from repro.core.matching import SampleMatcher             # noqa: E402
 from repro.obs.metrics import MetricsRegistry             # noqa: E402
@@ -41,6 +47,8 @@ from repro.util.units import parse_hhmm                   # noqa: E402
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
 PASSES = 3
+#: Timed builds of the pattern table, outside the passes.
+BUILDS = 3
 
 
 def _oracle(world: World, batches) -> Tuple[Dict, float]:
@@ -76,18 +84,48 @@ def _check(batches, results, registry, expected) -> None:
         )
 
 
-def _bench(world: World, batches, expected) -> List[float]:
-    """PASSES sweeps, each with a fresh matcher, checked each time."""
+def _bench(world: World, batches, expected) -> Tuple[List[float], List[int]]:
+    """PASSES sweeps, each with a fresh matcher, checked each time; the
+    first builds the pattern table.  Returns each pass's seconds and
+    ``_sw_kernel`` calls."""
     pass_seconds: List[float] = []
-    for _ in range(PASSES):
-        registry = MetricsRegistry()
-        matcher = SampleMatcher(world.database.as_dict(),
-                                world.config.matching, registry=registry)
+    kernel_calls: List[int] = []
+    kernel = matching._sw_kernel
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    matching._PATTERN_TABLES.clear()
+    matching._sw_kernel = counting
+    try:
+        for _ in range(PASSES):
+            registry = MetricsRegistry()
+            matcher = SampleMatcher(world.database.as_dict(),
+                                    world.config.matching, registry=registry)
+            calls[0] = 0
+            start = time.perf_counter()
+            results = [matcher.match_many(batch) for batch in batches]
+            pass_seconds.append(time.perf_counter() - start)
+            kernel_calls.append(calls[0])
+            _check(batches, results, registry, expected)
+    finally:
+        matching._sw_kernel = kernel
+    return pass_seconds, kernel_calls
+
+
+def _table_build_seconds(world: World) -> float:
+    """Best of BUILDS timed builds of the pattern table."""
+    config = world.config.matching
+    seconds = []
+    for _ in range(BUILDS):
         start = time.perf_counter()
-        results = [matcher.match_many(batch) for batch in batches]
-        pass_seconds.append(time.perf_counter() - start)
-        _check(batches, results, registry, expected)
-    return pass_seconds
+        matching._build_pattern_table(
+            config.match_score, config.mismatch_penalty, config.gap_penalty
+        )
+        seconds.append(time.perf_counter() - start)
+    return min(seconds)
 
 
 def run(quick: bool = False, out: Optional[str] = None) -> Dict:
@@ -99,7 +137,8 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
     samples = sum(len(b) for b in batches)
     expected, oracle_s = _oracle(world, batches)
 
-    pass_seconds = _bench(world, batches, expected)
+    pass_seconds, kernel_calls = _bench(world, batches, expected)
+    build_s = _table_build_seconds(world)
     best = min(pass_seconds)
     row = {
         "pass_seconds": [round(s, 6) for s in pass_seconds],
@@ -107,6 +146,8 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         "best_s": round(best, 6),
         "samples_per_s": round(samples / best, 1),
         "us_per_sample": round(1e6 * best / samples, 2),
+        "table_build_ms": round(1e3 * build_s, 2),
+        "kernel_calls_per_pass": kernel_calls,
     }
 
     document = {
@@ -128,8 +169,8 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         "result": row,
     }
 
-    os.makedirs(REPORT_DIR, exist_ok=True)
     out = out or os.path.join(REPORT_DIR, "BENCH_matching.json")
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
@@ -143,15 +184,19 @@ def run(quick: bool = False, out: Optional[str] = None) -> Dict:
         f"{1e3 * row['first_s']:>10.1f} {1e3 * row['best_s']:>10.1f} "
         f"{row['samples_per_s']:>10.0f} {row['us_per_sample']:>10.1f}",
     ]
+    lines.append(f"pattern table build {row['table_build_ms']:.1f} ms "
+                 f"(best of {BUILDS}; the first pass includes one)")
+    lines.append("kernel calls per pass "
+                 + " ".join(str(c) for c in kernel_calls))
     lines.append(f"parity  every pass == oracle full scan "
                  f"({oracle_s:.1f} s for the unique sequences)")
     table = "\n".join(lines)
     print(f"===== matching ({'quick' if quick else 'default'} campaign) =====")
     print(table)
-    with open(os.path.join(REPORT_DIR, "BENCH_matching.txt"), "w",
-              encoding="utf-8") as handle:
+    text = os.path.splitext(out)[0] + ".txt"
+    with open(text, "w", encoding="utf-8") as handle:
         handle.write(table + "\n")
-    print(f"wrote {out}")
+    print(f"wrote {out} and {text}")
     return document
 
 
@@ -160,7 +205,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small campaign (CI smoke)")
     parser.add_argument("--out", default=None,
-                        help="JSON output path (default: "
+                        help="JSON output path; the text table goes beside "
+                             "it as .txt (default: "
                              "benchmarks/reports/BENCH_matching.json)")
     args = parser.parse_args(argv)
     run(quick=args.quick, out=args.out)

@@ -47,8 +47,10 @@ class MatchingConfig:
 
     A verdict is a pure function of the RSS-ordered cell-id sequence and
     these four numbers.  The matcher scores every upload afresh and
-    keeps no memo of earlier verdicts: with the planned, pruned kernel a
-    memo no longer paid for its heap (DESIGN §10).
+    keeps no memo of earlier verdicts: with the planned, pruned matcher a
+    memo no longer paid for its heap (DESIGN §10).  The match-pattern
+    table it scores from is complete and keyed by the three scores, not
+    by the sequences seen.
     """
 
     match_score: float = 1.0

@@ -27,7 +27,10 @@ are shared do-nothing singletons.
 from __future__ import annotations
 
 import bisect
+import collections
+import functools
 import math
+import operator
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -171,6 +174,18 @@ class Histogram:
         self._counts[bisect.bisect_left(self.bounds, value)] += 1
         self._count += 1
         self._sum += value
+
+    def observe_many(self, values: Iterable[Union[int, float]]) -> None:
+        """Record every value, leaving what :meth:`observe` on each in
+        turn would: one bucket search per distinct value, and the sum
+        accumulated in order.  Nothing is recorded if a value is NaN."""
+        values = list(values)
+        if any(map(math.isnan, values)):
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        for value, count in collections.Counter(values).items():
+            self._counts[bisect.bisect_left(self.bounds, value)] += count
+        self._count += len(values)
+        self._sum = functools.reduce(operator.add, values, self._sum)
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """Prometheus-style ``(le, cumulative count)`` pairs, +Inf last."""
@@ -517,6 +532,9 @@ class _NullHistogram(Histogram):
         super().__init__("null", buckets=(1.0,))
 
     def observe(self, value: Union[int, float]) -> None:
+        pass
+
+    def observe_many(self, values: Iterable[Union[int, float]]) -> None:
         pass
 
 

@@ -59,7 +59,7 @@ __all__ = [
 
 
 def _check_matching(rng: np.random.Generator, tag: str) -> List[str]:
-    """The production matcher (incidence plan, pruned kernel) vs the
+    """The production matcher (incidence plan, pattern table) vs the
     oracle's whole-database scan, per sample and batched — the batch
     pass scores again every sequence the per-sample pass already saw."""
     scenario = random_matching_scenario(rng)

@@ -135,7 +135,7 @@ class TestMatcherCacheIntegration:
             matcher.candidate_stations(self.SAMPLE)
         )
 
-    def test_match_many_deduplicates_within_batch(self):
+    def test_match_many_counts_repeats_within_batch(self):
         registry = MetricsRegistry()
         matcher = self._matcher(registry=registry)
         results = matcher.match_many([self.SAMPLE, (20, 21), self.SAMPLE])
@@ -143,7 +143,7 @@ class TestMatcherCacheIntegration:
         assert results == [matcher.match(s)
                            for s in (self.SAMPLE, (20, 21), self.SAMPLE)]
         counters = registry.as_dict()["counters"]
-        # The repeat is scored once, but every occurrence is counted.
+        # Every occurrence of the repeat is scored and counted.
         assert counters["matcher_samples_total"] == 6
 
     def test_cache_shared_between_match_and_match_many(self):

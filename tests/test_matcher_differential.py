@@ -1,15 +1,18 @@
 """Differential tests: the production matcher against the oracle's scan.
 
 ``SampleMatcher.match_many`` plans a batch with one incidence product,
-prunes pairs below the common-id bound, scores the rest with the
-skewed kernel and scores each repeat within a batch once.  None of
-that may show: every verdict (station, score bits, common ids) and every
-``matcher_*`` counter must equal what
+prunes pairs below the common-id bound, scores the rest from the
+match-pattern table, and sends the pairs the table cannot answer
+(a query repeating a database id, a known id past a query's 7th
+position, a fingerprint longer than 7 ids) to the skewed kernel.  None
+of that may show: every verdict (station, score bits, common ids) and
+every ``matcher_*`` counter must equal what
 :class:`~repro.testkit.OracleMatcher` — a whole-database scan with the
-scalar Smith-Waterman — computes, on random databases, hostile samples
-(duplicate, negative, unknown and below-database-minimum ids, empty
-samples), batches with repeats within and across batches, and random
-scoring constants with non-integer γ / match ratios.
+scalar Smith-Waterman — computes, on random databases (fingerprints
+longer than 7 ids included), hostile samples (duplicate, negative,
+unknown, below-database-minimum and outside-int64 ids, empty and
+over-long samples), batches with repeats within and across batches,
+and random scoring constants with non-integer γ / match ratios.
 """
 
 import pytest
@@ -36,6 +39,18 @@ samples = st.lists(
         st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 70, -2 ** 70]),
     ),
     min_size=0, max_size=9,
+).map(tuple)
+#: Fingerprints up to 11 ids, so some are longer than the pattern table.
+long_databases = st.dictionaries(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=20), min_size=1,
+             max_size=11, unique=True).map(tuple),
+    min_size=1, max_size=8,
+)
+#: Samples of mostly database ids, up to 12 long: repeated database ids
+#: and known ids past the 7th position are common.
+hostile_samples = st.lists(
+    st.integers(min_value=-2, max_value=22), min_size=0, max_size=12,
 ).map(tuple)
 configs = st.builds(
     MatchingConfig,
@@ -86,33 +101,74 @@ def _matcher_families(registry):
     )
 
 
+def _check_batches(db, pool, batch_picks, config):
+    """Match batches drawn from ``pool`` and compare every verdict and
+    the matcher_* families with the oracle's one-by-one scan."""
+    # Batches draw from a small sample pool, so repeats happen both
+    # within a batch and across batches; a repeat in a later batch is
+    # scored again and must still equal the oracle.
+    batches = [[pool[i % len(pool)] for i in picks] for picks in batch_picks]
+    registry = MetricsRegistry()
+    matcher = SampleMatcher(db, config, registry=registry)
+    oracle = OracleMatcher(db, config)
+    expected = []
+    for batch in batches:
+        got = matcher.match_many(batch)
+        want = [oracle.match_with_pool(sample) for sample in batch]
+        assert [_verdict(r) for r in got] == [_verdict(r) for r, _ in want]
+        expected.extend(want)
+    assert _matcher_families(registry) == _matcher_families(
+        _expected_registry(expected)
+    )
+
+
+batch_picks = st.lists(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=8),
+    min_size=1, max_size=4,
+)
+
+
 class TestMatchManyEqualsOracle:
     @pytest.mark.property
     @settings(deadline=None)
-    @given(
-        databases,
-        st.lists(samples, min_size=1, max_size=6),
-        st.lists(st.lists(st.integers(min_value=0, max_value=5),
-                          min_size=0, max_size=8), min_size=1, max_size=4),
-        configs,
-    )
-    def test_verdicts_and_accounting(self, db, pool, batch_picks, config):
-        # Batches draw from a small sample pool, so repeats happen both
-        # within a batch and across batches; a repeat in a later batch is
-        # scored again and must still equal the oracle.
-        batches = [[pool[i % len(pool)] for i in picks] for picks in batch_picks]
-        registry = MetricsRegistry()
-        matcher = SampleMatcher(db, config, registry=registry)
-        oracle = OracleMatcher(db, config)
-        expected = []
-        for batch in batches:
-            got = matcher.match_many(batch)
-            want = [oracle.match_with_pool(sample) for sample in batch]
-            assert [_verdict(r) for r in got] == [_verdict(r) for r, _ in want]
-            expected.extend(want)
-        assert _matcher_families(registry) == _matcher_families(
-            _expected_registry(expected)
-        )
+    @given(databases, st.lists(samples, min_size=1, max_size=6),
+           batch_picks, configs)
+    def test_verdicts_and_accounting(self, db, pool, picks, config):
+        _check_batches(db, pool, picks, config)
+
+    @pytest.mark.property
+    @settings(deadline=None)
+    @given(long_databases, st.lists(hostile_samples, min_size=1, max_size=6),
+           batch_picks, configs)
+    def test_table_fallbacks(self, db, pool, picks, config):
+        """Repeated database ids, known ids past the 7th position and
+        fingerprints longer than 7 ids go to the kernel; the rest read
+        the pattern table.  Both must equal the oracle."""
+        _check_batches(db, pool, picks, config)
+
+    @pytest.mark.property
+    @settings(deadline=None)
+    @given(long_databases, st.lists(hostile_samples, min_size=1, max_size=6),
+           batch_picks)
+    def test_table_fallbacks_at_the_default_config(self, db, pool, picks):
+        _check_batches(db, pool, picks, MatchingConfig())
+
+    @pytest.mark.parametrize("huge", [2 ** 63, -(2 ** 63) - 1, 2 ** 70])
+    def test_ids_outside_int64_are_unknown_cells(self, huge):
+        """A batch holding an id numpy cannot hold as int64 is ranked id
+        by id, and that id is an unknown cell."""
+        db = {1: (1, 2, 3), 2: (4, 5, 6, 7, 8, 9, 10, 11), 3: (3, 1)}
+        batch = [(1, 2, 3), (huge, 4, 5, 6), (3, huge, 1, 1), (huge,)]
+        swapped = [tuple(99 if t == huge else t for t in s) for s in batch]
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        got = SampleMatcher(db, registry=registry).match_many(batch)
+        want = SampleMatcher(db, registry=reference).match_many(swapped)
+        oracle = OracleMatcher(db, MatchingConfig())
+        assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+        assert [_verdict(r) for r in got] == [
+            _verdict(oracle.match(s)) for s in batch
+        ]
+        assert registry.as_dict() == reference.as_dict()
 
     @pytest.mark.property
     @settings(deadline=None)

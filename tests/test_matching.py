@@ -1,15 +1,22 @@
 """Tests for Smith-Waterman matching (§III-C1, Table I)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.config import MatchingConfig
+from repro.core import matching
 from repro.core.fingerprint import FingerprintDatabase
 from repro.core.matching import (
     SampleMatcher,
     batch_smith_waterman,
     common_id_count,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.testkit import oracle_smith_waterman as smith_waterman
 
 
@@ -178,6 +185,10 @@ class TestSampleMatcher:
         with pytest.raises(ValueError):
             SampleMatcher({})
 
+    def test_database_of_empty_fingerprints_rejects_every_sample(self):
+        results = SampleMatcher({1: (), 2: ()}).match_many([(1, 2), ()])
+        assert [r.accepted for r in results] == [False, False]
+
     def test_ids_outside_int64_are_unknown_cells(self, matcher):
         """A hostile id cannot overflow the int64 sentinels: it is an
         unknown cell, like any id outside the database."""
@@ -258,3 +269,176 @@ class TestEndToEndDiscrimination:
                 if result.station_id == station.station_id:
                     correct += 1
         assert correct / total > 0.9
+
+
+def _decode(codes):
+    """The (query, fingerprint) rows of each pattern code: fingerprint
+    ids 0..6, query row i holds the id its digit names or an id (100 + i)
+    the fingerprint lacks."""
+    digits = (codes[:, None] >> (3 * np.arange(6, -1, -1))) & 7
+    query = np.where(digits > 0, digits - 1, 100 + np.arange(7))
+    ref = np.broadcast_to(np.arange(7), query.shape)
+    return digits, query, np.ascontiguousarray(ref)
+
+
+class TestPatternTable:
+    @pytest.mark.parametrize("config", [
+        MatchingConfig(),
+        MatchingConfig(mismatch_penalty=0.2, gap_penalty=0.45),
+        MatchingConfig(match_score=1.37, mismatch_penalty=0.73,
+                       gap_penalty=0.11),
+    ], ids=["default", "gap-ne-mismatch", "match-ne-1"])
+    def test_every_pattern_scores_bit_equal_to_the_kernel(self, config):
+        table = matching._build_pattern_table(
+            config.match_score, config.mismatch_penalty, config.gap_penalty
+        )
+        codes = table.codes.astype(np.int64)
+        assert codes.size == 130_922
+        assert np.all(np.diff(codes) > 0)
+        digits, query, ref = _decode(codes)
+        # Every code is a pattern: no fingerprint position used twice.
+        used = np.sort(np.where(digits > 0, digits, -np.arange(1, 8)), axis=1)
+        assert np.all(np.diff(used, axis=1) > 0)
+        want = matching._sw_kernel(query, ref, config)
+        got = table.scores[table.index]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_import_and_construction_build_no_table(self):
+        src = str(Path(matching.__file__).resolve().parents[2])
+        code = (
+            "import repro.core.matching as m\n"
+            "assert not m._PATTERN_TABLES\n"
+            "m.SampleMatcher({1: (1, 2, 3)})\n"
+            "assert not m._PATTERN_TABLES\n"
+            "m.SampleMatcher({1: (1, 2, 3)}).match((1, 2, 3))\n"
+            "assert len(m._PATTERN_TABLES) == 1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_table_cache_is_bounded_and_keyed_by_scores(self):
+        saved = dict(matching._PATTERN_TABLES)
+        try:
+            matching._PATTERN_TABLES.clear()
+            for gap in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+                matching._pattern_table(MatchingConfig(gap_penalty=gap))
+            assert len(matching._PATTERN_TABLES) == matching._PATTERN_MEMO_MAX
+            # γ is not part of the key: one table serves every threshold.
+            a = matching._pattern_table(MatchingConfig(gap_penalty=0.6))
+            b = matching._pattern_table(
+                MatchingConfig(gap_penalty=0.6, accept_threshold=3.0)
+            )
+            assert a is b
+        finally:
+            matching._PATTERN_TABLES.clear()
+            matching._PATTERN_TABLES.update(saved)
+
+    def test_seed7_campaign_matches_without_kernel_calls(self, monkeypatch):
+        from repro.city import build_city
+        from repro.sim.world import World
+        from repro.util.units import parse_hhmm
+
+        from conftest import SMALL_SPEC
+
+        world = World(city=build_city(SMALL_SPEC), seed=7)
+        result = world.run(parse_hhmm("07:30"), parse_hhmm("08:10"),
+                           with_official_feed=False)
+        batches = [[s.tower_ids for s in u.samples] for u in result.uploads]
+        assert sum(map(len, batches)) > 100
+        calls = []
+        kernel = matching._sw_kernel
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(matching, "_sw_kernel", counting)
+        matcher = SampleMatcher(world.database.as_dict(), world.config.matching)
+        verdicts = [matcher.match_many(batch) for batch in batches]
+        assert calls == []
+        assert any(r.accepted for batch in verdicts for r in batch)
+
+    def test_fallback_pairs_go_to_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = matching._sw_kernel
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(matching, "_sw_kernel", counting)
+        matcher = SampleMatcher({
+            1: (10, 11, 12, 13),
+            2: tuple(range(20, 29)),             # longer than 7 ids
+        })
+        matcher.match_many([(10, 11, 12)])
+        assert calls == []
+        matcher.match_many([(10, 11, 10, 12)])     # repeats a database id
+        matcher.match_many([(20, 21, 22)])         # long fingerprint
+        matcher.match_many([(1, 2, 3, 4, 5, 6, 7, 10, 11)])  # id past 7th
+        assert calls == [1, 1, 1]
+        # Unknown ids past the 7th position are padding: no kernel.
+        matcher.match_many([(10, 11, 1, 2, 3, 4, 5, 6, 7)])
+        assert calls == [1, 1, 1]
+
+
+def _record_one_by_one(registry, results, pools):
+    """Record the matcher_* families sample by sample into the
+    instruments a matcher registered in ``registry``."""
+    samples = registry.counter("matcher_samples_total")
+    accepted = registry.counter("matcher_samples_accepted")
+    pairs = registry.counter("matcher_pairs_scored")
+    candidates = registry.histogram(
+        "matcher_candidates_per_sample", buckets=(0, 1, 2, 5, 10, 20, 50)
+    )
+    verdicts = registry.labeled_counter("matcher_verdicts_total", ("verdict",))
+    yes, no = verdicts.labels("accepted"), verdicts.labels("rejected")
+    stops = registry.labeled_counter("matcher_stop_matches_total", ("stop",))
+    for result, pool in zip(results, pools):
+        samples.inc()
+        candidates.observe(pool)
+        pairs.inc(pool)
+        if result.accepted:
+            accepted.inc()
+            yes.inc()
+            stops.labels(str(result.station_id)).inc()
+        else:
+            no.inc()
+
+
+class TestBatchRecording:
+    FINGERPRINTS = {
+        1: (10, 11, 12, 13, 14),
+        2: (20, 21, 22, 23, 24),
+        3: (10, 11, 12, 15, 16),
+        4: (30, 31, 32),
+    }
+    BATCH = [
+        (20, 21, 22), (10, 11, 12, 15), (30, 31, 32), (99,), (),
+        (20, 21, 22, 23), (10, 11, 12, 13), (30, 31), (12, 13, 14),
+        (10, 11, 12, 15, 16), (20, 21, 22),
+    ]
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_one_batch_records_as_sample_by_sample(self, cap):
+        """One ``match_many`` leaves the registry (document and
+        exposition, byte for byte) that per-sample recording leaves,
+        also past the stop family's cardinality cap."""
+        batch_registry, reference = MetricsRegistry(), MetricsRegistry()
+        if cap is not None:
+            for registry in (batch_registry, reference):
+                registry.labeled_counter(
+                    "matcher_stop_matches_total", ("stop",), max_children=cap
+                )
+        matcher = SampleMatcher(self.FINGERPRINTS, registry=batch_registry)
+        SampleMatcher(self.FINGERPRINTS, registry=reference)   # registers
+        results = matcher.match_many(self.BATCH)
+        pools = [len(matcher.candidate_stations(s)) for s in self.BATCH]
+        _record_one_by_one(reference, results, pools)
+        assert batch_registry.as_dict() == reference.as_dict()
+        assert (batch_registry.render_prometheus()
+                == reference.render_prometheus())
+        assert {r.station_id for r in results} == {None, 1, 2, 3, 4}
+        if cap is not None:     # stops 4, 1, 4, 1 each missed the cap
+            assert batch_registry.as_dict()["labeled"][
+                "matcher_stop_matches_total"]["overflow_total"] == 4

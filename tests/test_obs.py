@@ -77,6 +77,29 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", buckets=(1.0,)).observe(float("nan"))
 
+    def test_observe_many_equals_observing_in_turn(self):
+        values = [0.1, 7, 1.0, 0.7, 3, 100.25, 0.2, 7, 1e-17, 5.0]
+        one, many = Histogram("h", buckets=(1.0, 5.0, 10.0)), \
+            Histogram("h", buckets=(1.0, 5.0, 10.0))
+        one.observe(0.3)
+        many.observe(0.3)
+        for value in values:
+            one.observe(value)
+        many.observe_many(iter(values))
+        assert many.bucket_counts == one.bucket_counts
+        assert many.count == one.count
+        assert many.sum.hex() == one.sum.hex()     # summed in order
+        many.observe_many([])
+        assert many.count == one.count
+
+    def test_observe_many_rejects_nan_and_records_nothing(self):
+        hist = Histogram("h", buckets=(1.0,))
+        with pytest.raises(ValueError):
+            hist.observe_many([0.5, float("nan"), 2.0])
+        assert (hist.count, hist.sum, hist.bucket_counts) == (0, 0.0, [0, 0])
+        NULL_REGISTRY.histogram("h").observe_many([1.0, 2.0])
+        assert NULL_REGISTRY.histogram("h").count == 0
+
 
 class TestMetricsRegistry:
     def test_get_or_create_shares_instruments(self):
