@@ -124,17 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--headway", type=float, default=None,
                           metavar="SECONDS",
                           help="dispatch headway override (default: config)")
-    campaign.add_argument("--store", default=None, metavar="PATH",
+    campaign.add_argument("--store", default=None, metavar="DIR",
                           help="durable state store: journal every upload "
                                "to a write-ahead ledger and snapshot the "
                                "backend, so a killed campaign can be "
-                               "resumed (directory = append-log backend, "
-                               "*.db/*.sqlite = sqlite, ':memory:' = "
-                               "in-process)")
-    campaign.add_argument("--store-backend", default=None,
-                          choices=["memory", "sqlite", "appendlog"],
-                          help="force the store backend instead of "
-                               "inferring it from the path")
+                               "resumed (an append-log directory, created "
+                               "if missing)")
     campaign.add_argument("--resume", action="store_true",
                           help="recover state from --store (snapshot + WAL "
                                "replay) and continue the campaign where a "
@@ -790,11 +785,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.store:
         from repro.store import open_store
 
-        store = open_store(args.store, backend=args.store_backend,
-                           fsync=config.ingest.store_fsync)
+        try:
+            store = open_store(args.store, fsync=config.ingest.store_fsync)
+        except (OSError, ValueError) as exc:
+            print(f"campaign: {exc}", file=sys.stderr)
+            return 2
         store.bind_observability(registry=registry, tracer=tracer)
     elif args.resume:
-        print("--resume requires --store PATH", file=sys.stderr)
+        print("--resume requires --store DIR", file=sys.stderr)
         return 2
     world = World(seed=args.seed, config=config,
                   registry=registry, tracer=tracer, store=store)

@@ -24,26 +24,22 @@ class CellularSample:
 
     time_s: float
     tower_ids: Tuple[int, ...]
-    rss_dbm: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.time_s):
             raise ValueError(f"sample time must be finite, not {self.time_s!r}")
         object.__setattr__(self, "tower_ids", check_cell_ids(self.tower_ids))
-        if self.rss_dbm and len(self.rss_dbm) != len(self.tower_ids):
-            raise ValueError("rss_dbm length must match tower_ids")
 
     def __len__(self) -> int:
         return len(self.tower_ids)
 
     @classmethod
     def from_observation(cls, time_s: float, observation: Observation) -> "CellularSample":
-        """Wrap a radio-layer observation with its capture time."""
-        return cls(
-            time_s=time_s,
-            tower_ids=observation.tower_ids,
-            rss_dbm=observation.rss_dbm,
-        )
+        """Wrap a radio-layer observation with its capture time.
+
+        Only the ids leave: their order already carries the RSS ranking.
+        """
+        return cls(time_s=time_s, tower_ids=observation.tower_ids)
 
 
 class CellularSampler:

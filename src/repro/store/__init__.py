@@ -11,10 +11,10 @@ backend server:
 
 Recovery is load-latest-snapshot + idempotent replay of the WAL tail
 (every record carries a monotone ``seq``; replay skips anything at or
-below the restored watermark).  Three backends share one contract:
-in-memory (testing), sqlite, and a CRC-framed append-only log with
-torn-write detection.  The no-store path stays zero-overhead behind
-:data:`~repro.store.base.NULL_STORE`.
+below the restored watermark).  :func:`~repro.store.base.open_store`
+opens the one durable implementation, a directory holding a CRC-framed
+append-only log with torn-write detection.  The no-store path stays
+zero-overhead behind :data:`~repro.store.base.NULL_STORE`.
 """
 
 from repro.store.base import (

@@ -29,7 +29,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.store.base import StateStore, _check_fsync
+from repro.store.base import FSYNC_POLICIES, StateStore
 from repro.store.faults import fault_point, faults_armed
 
 __all__ = ["AppendLogStateStore"]
@@ -42,13 +42,21 @@ class AppendLogStateStore(StateStore):
     """Durable WAL in one append-only file plus atomic sidecar files."""
 
     backend = "appendlog"
-    persistent = True
 
     def __init__(self, root: str, fsync: str = "batch"):
         super().__init__()
-        self._fsync = _check_fsync(fsync)
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(
+                f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
+            )
+        self._fsync = fsync
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise ValueError(
+                f"store path {str(root)!r} exists and is not a directory"
+            ) from None
         self._wal_path = self.root / "wal.log"
         self._snapshot_path = self.root / "snapshot.json"
         self._meta_path = self.root / "meta.json"

@@ -1,23 +1,20 @@
-"""The :class:`StateStore` contract every durable backend implements.
+"""The :class:`StateStore` contract and the no-store default.
 
 The store speaks two languages: **WAL records** (small JSON dicts, one
 per applied server event, each carrying a strictly increasing integer
 ``seq``) and **snapshots** (one big JSON document of the server's
 structured state at a quiescent ``seq``).  The base class owns the
 JSON codec, the monotonicity guard, and the observability (spans +
-``store_*`` metrics through the shared registry/tracer); backends only
-move canonical text to and from their medium via the ``_``-prefixed
-hooks.
+``store_*`` metrics through the shared registry/tracer); an
+implementation only moves canonical text to and from its medium via the
+``_``-prefixed hooks.
 
-Backends ship with the package:
-
-* :class:`~repro.store.memory.MemoryStateStore` — process-local, the
-  conformance baseline;
-* :class:`~repro.store.sqlite_store.SqliteStateStore` — one sqlite
-  file, transactions per append;
-* :class:`~repro.store.appendlog.AppendLogStateStore` — a directory
-  with a CRC-framed append-only ``wal.log`` plus atomically renamed
-  snapshot/meta files; detects and truncates torn tail records.
+The one durable implementation is
+:class:`~repro.store.appendlog.AppendLogStateStore`, which
+:func:`open_store` opens: a directory with a CRC-framed append-only
+``wal.log`` plus atomically renamed snapshot/meta files, which detects
+and truncates torn tail records.  Tests substitute the in-process
+:class:`~repro.testkit.memory_store.MemoryStateStore` for a disk.
 
 The no-store path is :data:`NULL_STORE` — shared no-op singleton, so a
 server without persistence pays one ``isinstance`` at construction and
@@ -41,16 +38,13 @@ __all__ = [
     "open_store",
 ]
 
-#: Durability/latency trade for the durable backends:
+#: Durability/latency trade of the append log:
 #: ``always`` fsyncs every WAL append, ``batch`` flushes per append but
 #: fsyncs only at snapshots / explicit ``sync()`` / ``close()``,
 #: ``never`` leaves durability to the OS.  All three survive SIGKILL of
 #: the process (writes are flushed to the kernel); they differ in what
 #: survives a machine power cut.
 FSYNC_POLICIES: Tuple[str, ...] = ("always", "batch", "never")
-
-#: Filename suffixes routed to the sqlite backend by :func:`open_store`.
-_SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
 class StateStore:
@@ -66,8 +60,6 @@ class StateStore:
     """
 
     backend = "abstract"
-    #: Whether state survives close + reopen of the same path.
-    persistent = False
 
     def __init__(self) -> None:
         self._registry: MetricsRegistry = NULL_REGISTRY
@@ -238,7 +230,6 @@ class NullStateStore(StateStore):
     """
 
     backend = "null"
-    persistent = False
 
     def append_wal(self, record: Dict) -> int:  # pragma: no cover - guard
         return int(record.get("seq", 0))
@@ -272,48 +263,8 @@ class NullStateStore(StateStore):
 NULL_STORE = NullStateStore()
 
 
-def _check_fsync(fsync: str) -> str:
-    if fsync not in FSYNC_POLICIES:
-        raise ValueError(
-            f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
-        )
-    return fsync
+def open_store(path: str, fsync: str = "batch") -> StateStore:
+    """Open (or create) the append-log store directory at ``path``."""
+    from repro.store.appendlog import AppendLogStateStore
 
-
-def open_store(
-    path: str,
-    backend: Optional[str] = None,
-    fsync: str = "batch",
-) -> StateStore:
-    """Open (or create) a store at ``path``, inferring the backend.
-
-    ``backend`` forces one of ``memory`` / ``sqlite`` / ``appendlog``;
-    otherwise ``:memory:`` maps to the in-memory store, a sqlite-ish
-    suffix (``.db`` / ``.sqlite`` / ``.sqlite3``) to sqlite, and
-    anything else to an append-log directory.
-    """
-    from pathlib import Path
-
-    _check_fsync(fsync)
-    if backend is None:
-        if path == ":memory:":
-            backend = "memory"
-        elif Path(path).is_dir():
-            backend = "appendlog"
-        elif Path(path).suffix.lower() in _SQLITE_SUFFIXES:
-            backend = "sqlite"
-        else:
-            backend = "appendlog"
-    if backend == "memory":
-        from repro.store.memory import MemoryStateStore
-
-        return MemoryStateStore()
-    if backend == "sqlite":
-        from repro.store.sqlite_store import SqliteStateStore
-
-        return SqliteStateStore(path, fsync=fsync)
-    if backend == "appendlog":
-        from repro.store.appendlog import AppendLogStateStore
-
-        return AppendLogStateStore(path, fsync=fsync)
-    raise ValueError(f"unknown store backend {backend!r}")
+    return AppendLogStateStore(path, fsync=fsync)

@@ -7,16 +7,17 @@ to *choose* where.  A fault point is armed through the environment —
 
 — and the ``n``-th time execution reaches ``fault_point(<point>)`` the
 process SIGKILLs itself: no ``atexit``, no buffered-file flush, exactly
-the power-cut semantics the WAL must survive.  With the variable unset
-every fault point is a near-free string comparison against ``None``.
+the power-cut semantics the WAL must survive.  The variable is read
+once, when this module is imported; with it unset every fault point is
+one string comparison.  A malformed ``n`` raises ``ValueError`` at the
+first hit of the named point.
 
 Points wired into the store/server:
 
 * ``wal_append``  — between the append log's frame header and payload
-  writes (a genuinely torn record on disk), or before the sqlite
-  commit (an uncommitted insert);
-* ``snapshot``    — between writing the snapshot and making it the
-  latest (tmp file written, rename pending / commit pending);
+  writes (a genuinely torn record on disk);
+* ``snapshot``    — between writing the snapshot tmp file and renaming
+  it over the latest one;
 * ``apply``       — after a trip is journaled but before any server
   state mutates (mid-batch crash).
 """
@@ -25,47 +26,36 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["ENV_VAR", "fault_point", "faults_armed", "reset_fault_counts"]
+__all__ = ["ENV_VAR", "fault_point", "faults_armed"]
 
 ENV_VAR = "REPRO_FAULT"
+
+#: The spec this process was started with.  Unarmed, it is "", and no
+#: fault point is named "", so none matches.
+_SPEC = os.environ.get(ENV_VAR, "")
+_ARMED, _, _COUNT = _SPEC.partition(":")
 
 #: Hits per fault point (process-local; the point fires on the n-th hit).
 _hits: Dict[str, int] = {}
 
 
-def _spec() -> Optional[str]:
-    return os.environ.get(ENV_VAR)
-
-
 def faults_armed(name: str) -> bool:
     """Whether ``name`` is the armed fault point of this process."""
-    spec = _spec()
-    if not spec:
-        return False
-    point, _, _ = spec.partition(":")
-    return point == name
+    return name == _ARMED
 
 
 def fault_point(name: str) -> None:
     """Die here (SIGKILL) if this is the armed fault point's n-th hit."""
-    spec = _spec()
-    if not spec:
-        return
-    point, _, count = spec.partition(":")
-    if point != name:
+    if name != _ARMED:
         return
     try:
-        threshold = int(count) if count else 1
+        threshold = int(_COUNT) if _COUNT else 1
     except ValueError:
-        raise ValueError(f"malformed {ENV_VAR} spec {spec!r}") from None
+        raise ValueError(f"malformed {ENV_VAR} spec {_SPEC!r}") from None
     hits = _hits.get(name, 0) + 1
     _hits[name] = hits
     if hits >= threshold:
         os.kill(os.getpid(), signal.SIGKILL)
 
-
-def reset_fault_counts() -> None:
-    """Forget hit counts (between in-process tests)."""
-    _hits.clear()

@@ -20,6 +20,8 @@ rewritten for speed.  This package is their standing referee:
 * :mod:`repro.testkit.conformance` — orchestrates differential runs and
   golden checks; backs the ``repro conformance`` CLI verb and CI's
   conformance smoke job.
+* :mod:`repro.testkit.memory_store` — an in-process ``StateStore`` the
+  replay tests substitute for the append log on disk.
 * :mod:`repro.testkit.ziggurat` — re-derives the normal-ziggurat tables
   the batched shadow-lattice draw copies from numpy, by probing
   ``Generator.standard_normal`` with crafted PCG64 states.
@@ -40,6 +42,7 @@ from repro.testkit.golden import (
     trace_from_server,
     write_trace,
 )
+from repro.testkit.memory_store import MemoryStateStore
 from repro.testkit.oracles import (
     OracleMatcher,
     OracleScanner,
@@ -52,6 +55,7 @@ from repro.testkit.oracles import (
 __all__ = [
     "ConformanceReport",
     "GOLDEN_TRACE_VERSION",
+    "MemoryStateStore",
     "OracleMatcher",
     "OracleScanner",
     "diff_traces",

@@ -8,21 +8,11 @@ from repro.radio.scanner import Observation
 
 
 class TestCellularSample:
-    def test_rejects_mismatched_rss(self):
-        with pytest.raises(ValueError):
-            CellularSample(time_s=0.0, tower_ids=(1, 2), rss_dbm=(-50.0,))
-
-    def test_rss_optional(self):
-        sample = CellularSample(time_s=0.0, tower_ids=(1, 2))
-        assert sample.rss_dbm == ()
-        assert len(sample) == 2
-
     def test_from_observation(self):
         obs = Observation(tower_ids=(9, 4), rss_dbm=(-50.0, -60.0))
         sample = CellularSample.from_observation(123.0, obs)
-        assert sample.time_s == 123.0
-        assert sample.tower_ids == (9, 4)
-        assert sample.rss_dbm == (-50.0, -60.0)
+        assert sample == CellularSample(time_s=123.0, tower_ids=(9, 4))
+        assert len(sample) == 2
 
     def test_immutable(self):
         sample = CellularSample(time_s=0.0, tower_ids=(1,))
@@ -31,12 +21,14 @@ class TestCellularSample:
 
 
 class TestCellularSampler:
-    def test_sample_carries_time_and_order(self, small_city, sampler, rng):
+    def test_sample_carries_time_and_order(self, small_city, sampler, scanner):
         where = small_city.registry.stations[0].stops[0].position
-        sample = sampler.sample(where, 456.0, rng)
+        sample = sampler.sample(where, 456.0, np.random.default_rng(5))
         assert sample.time_s == 456.0
         assert len(sample.tower_ids) >= 1
-        assert list(sample.rss_dbm) == sorted(sample.rss_dbm, reverse=True)
+        # The scan's RSS order, which is all that is left of the RSS.
+        scan = scanner.scan(where, np.random.default_rng(5))
+        assert sample.tower_ids == scan.tower_ids
 
     def test_repeated_samples_share_strongest_cell_mostly(
         self, small_city, sampler

@@ -40,6 +40,21 @@ class TestCampaignCommand:
         code = main(["campaign", "--sparse-days", "0", "--intensive-days", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["state.db", "notadir.txt"])
+    def test_store_on_existing_file_exits_2(self, tmp_path, capsys, name):
+        """A store is a directory: a regular file at the path (an old
+        sqlite file, say) is a usage error, not a traceback, and is
+        left as it was."""
+        path = tmp_path / name
+        path.write_bytes(b"not a store")
+        code = main(["campaign", "--sparse-days", "1", "--intensive-days", "0",
+                     "--store", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign: ") and err.count("\n") == 1
+        assert "not a directory" in err
+        assert path.read_bytes() == b"not a store"
+
     @pytest.mark.slow
     def test_runs_two_phase_campaign(self, capsys):
         code = main([

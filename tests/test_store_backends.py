@@ -1,15 +1,13 @@
-"""Backend-conformance matrix for the durable state tier.
+"""Conformance matrix for the durable state tier.
 
-Every :class:`~repro.store.base.StateStore` backend must speak the same
-contract — WAL append/iterate with strict seq monotonicity, latest-wins
-snapshots, durable metadata — and the persistent ones must survive a
-close + reopen of the same path.  The append-log backend additionally
+The append log and the testkit's in-process fake must speak the same
+:class:`~repro.store.base.StateStore` contract — WAL append/iterate with
+strict seq monotonicity, latest-wins snapshots, metadata — and the
+append log must survive a close + reopen of the same path.  It also
 owns torn-write detection: a crash can only damage the tail of an
 append-only file, and reopening must truncate exactly the bad suffix.
 """
 
-import json
-import struct
 from types import SimpleNamespace
 
 import pytest
@@ -18,18 +16,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.campaign import Campaign, CampaignPhase
 from repro.store import FSYNC_POLICIES, NULL_STORE, NullStateStore, open_store
 from repro.store.appendlog import _FRAME, AppendLogStateStore
-from repro.store.memory import MemoryStateStore
-from repro.store.sqlite_store import SqliteStateStore
+from repro.testkit.memory_store import MemoryStateStore
 
 
 def _memory_factory(tmp_path):
     store = MemoryStateStore()
     return lambda: store
-
-
-def _sqlite_factory(tmp_path):
-    path = str(tmp_path / "state.db")
-    return lambda: SqliteStateStore(path)
 
 
 def _appendlog_factory(tmp_path):
@@ -41,7 +33,6 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 FACTORIES = {
     "memory": _memory_factory,
-    "sqlite": _sqlite_factory,
     "appendlog": _appendlog_factory,
 }
 
@@ -49,7 +40,13 @@ FACTORIES = {
 @pytest.fixture(params=sorted(FACTORIES))
 def factory(request, tmp_path):
     """Calling it opens the *same* store again (memory returns the same
-    object; durable backends reopen the path)."""
+    object; the append log reopens the path)."""
+    return FACTORIES[request.param](tmp_path)
+
+
+@pytest.fixture(params=["appendlog"])
+def durable_factory(request, tmp_path):
+    """Reopens the path: for the checks that state survives a close."""
     return FACTORIES[request.param](tmp_path)
 
 
@@ -115,13 +112,12 @@ class TestContract:
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_wal_record_writes_nothing(self, factory, bad):
         with factory() as store:
-            persistent = store.persistent
             store.append_wal({"seq": 1, "kind": "publish", "at_s": 1.0})
             with pytest.raises(ValueError):
                 store.append_wal({"seq": 2, "kind": "trip", "trip": {"t": [5.0, bad]}})
             assert store.last_seq() == 1
             assert [r["seq"] for r in store.wal_records()] == [1]
-        if persistent:
+        if isinstance(store, AppendLogStateStore):
             with factory() as store:
                 assert [r["seq"] for r in store.wal_records()] == [1]
                 store.append_wal({"seq": 2, "kind": "publish", "at_s": 2.0})
@@ -149,16 +145,13 @@ class TestContract:
                 )
             assert store.get_meta("campaign") is None
 
-    def test_survives_reopen(self, factory):
-        with factory() as store:
-            persistent = store.persistent
+    def test_survives_reopen(self, durable_factory):
+        with durable_factory() as store:
             store.append_wal({"seq": 1, "kind": "trip", "trip": {}})
             store.append_wal({"seq": 2, "kind": "publish", "at_s": 60.0})
             store.write_snapshot(1, {"v": 1, "watermark": 1})
             store.set_meta("campaign", "fp")
-        if not persistent:
-            pytest.skip("memory backend does not persist across close")
-        with factory() as store:
+        with durable_factory() as store:
             assert store.last_seq() == 2
             assert len(list(store.wal_records())) == 2
             assert store.latest_snapshot() == (1, {"v": 1, "watermark": 1})
@@ -265,43 +258,27 @@ class TestAppendLogTailRecovery:
 
 
 class TestOpenStore:
-    def test_memory_sentinel(self):
-        assert open_store(":memory:").backend == "memory"
-
-    def test_sqlite_by_suffix(self, tmp_path):
-        for suffix in (".db", ".sqlite", ".sqlite3"):
-            with open_store(str(tmp_path / f"s{suffix}")) as store:
-                assert store.backend == "sqlite"
-
     def test_appendlog_default(self, tmp_path):
         with open_store(str(tmp_path / "campaign-state")) as store:
             assert store.backend == "appendlog"
-
-    def test_existing_directory_is_appendlog(self, tmp_path):
-        # Even a sqlite-ish name: a directory can only be the log layout.
-        root = tmp_path / "weird.db"
-        root.mkdir()
-        with open_store(str(root)) as store:
-            assert store.backend == "appendlog"
-
-    def test_backend_override_wins(self, tmp_path):
-        with open_store(str(tmp_path / "x.db"), backend="appendlog") as store:
-            assert store.backend == "appendlog"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_store(str(tmp_path / "x"), backend="postgres")
 
     def test_bad_fsync_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fsync policy"):
             open_store(str(tmp_path / "x"), fsync="sometimes")
 
+    def test_existing_file_rejected(self, tmp_path):
+        path = tmp_path / "state.db"
+        path.write_bytes(b"not a store")
+        with pytest.raises(ValueError, match="not a directory"):
+            open_store(str(path))
+        assert path.read_bytes() == b"not a store"
+
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
-    @pytest.mark.parametrize("backend", ["sqlite", "appendlog"])
+    @pytest.mark.parametrize("backend", ["appendlog"])
     def test_fsync_policies_accepted(self, tmp_path, backend, policy):
-        suffix = ".db" if backend == "sqlite" else ""
-        path = str(tmp_path / f"s-{policy}{suffix}")
-        with open_store(path, backend=backend, fsync=policy) as store:
+        path = str(tmp_path / f"s-{policy}")
+        with open_store(path, fsync=policy) as store:
+            assert store.backend == backend
             store.append_wal({"seq": 1, "kind": "publish", "at_s": 1.0})
             store.sync()
             assert store.last_seq() == 1
@@ -310,7 +287,6 @@ class TestOpenStore:
 class TestNullStore:
     def test_everything_is_a_noop(self):
         assert isinstance(NULL_STORE, NullStateStore)
-        assert NULL_STORE.persistent is False
         NULL_STORE.append_wal({"seq": 1})
         NULL_STORE.write_snapshot(1, {"v": 1})
         NULL_STORE.set_meta("k", "v")

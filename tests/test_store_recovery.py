@@ -126,20 +126,31 @@ def test_resume_of_finished_campaign_is_stable(baseline, scenario_tmp):
     assert golden.read_bytes() == baseline
 
 
-@pytest.mark.slow
-def test_sqlite_backend_sigkill_resume(baseline, scenario_tmp):
-    """The crash harness holds for the sqlite backend too."""
-    store = scenario_tmp / "state.db"
-    golden = scenario_tmp / "sqlite.json"
-    flags = ["--store", str(store)]
-    killed = _run(flags, env_extra={"REPRO_FAULT": "wal_append:30"},
-                  check=False)
-    assert killed.returncode == -9
-    _run([*flags, "--resume", "--golden-out", str(golden)])
-    assert golden.read_bytes() == baseline
-
-
 def test_resume_without_store_exits_with_usage_error():
     proc = _run(["--resume"], check=False)
     assert proc.returncode == 2
     assert "--resume requires --store" in proc.stderr
+
+
+def test_fault_spec_is_read_once_and_a_bad_count_raises_at_first_hit():
+    """``REPRO_FAULT`` is read at import; a malformed count is reported
+    at the first hit of the named point, not before, not elsewhere."""
+    import os
+
+    code = "\n".join([
+        "import os",
+        "from repro.store.faults import fault_point, faults_armed",
+        "os.environ['REPRO_FAULT'] = 'wal_append'",
+        "fault_point('wal_append')",
+        "assert faults_armed('apply') and not faults_armed('wal_append')",
+        "try:",
+        "    fault_point('apply')",
+        "except ValueError as exc:",
+        "    print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_FAULT="apply:x")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "malformed REPRO_FAULT spec 'apply:x'\n"

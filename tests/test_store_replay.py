@@ -20,8 +20,8 @@ from repro.config import SystemConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.campaign import Campaign, CampaignPhase
 from repro.sim.world import World
-from repro.store import open_store
 from repro.testkit.golden import render_trace, trace_from_server
+from repro.testkit.memory_store import MemoryStateStore
 
 START_S = 27000.0   # 07:30
 END_S = 28200.0     # 07:50 — short day, ~30 trips
@@ -42,7 +42,7 @@ def _world(small_city, store=None):
 def wal_case(small_city):
     """One journaled run: its WAL records, its golden trace, and a
     scratch world whose pristine state every example restores."""
-    store = open_store(":memory:")
+    store = MemoryStateStore()
     world = _world(small_city, store=store)
     result = world.run(START_S, END_S, headway_s=1200.0,
                        with_official_feed=False)
@@ -115,7 +115,7 @@ class TestReplayIdempotence:
 
 class TestRecovery:
     def test_recover_from_wal_only(self, small_city, wal_case):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         for record in wal_case["records"]:
             store.append_wal(dict(record))
         world = _world(small_city, store=store)
@@ -129,7 +129,7 @@ class TestRecovery:
                                              cut):
         records = wal_case["records"]
         cut = cut % len(records)
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         for record in records:
             store.append_wal(dict(record))
         # A first process applied a prefix and snapshotted at it...
@@ -150,7 +150,7 @@ class TestRecovery:
                 SystemConfig().ingest, store_snapshot_every=5
             )
         )
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         world = World(city=small_city, config=config, seed=SEED, store=store)
         server = world.server
         for i in range(1, 5):
@@ -174,14 +174,14 @@ class TestCampaignResumeValidation:
             campaign.run(phases, resume=True)
 
     def test_fresh_run_on_dirty_store_rejected(self, small_city):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         phases = [CampaignPhase("sparse", 1, 0.05)]
         self._campaign(small_city, store).run(phases)
         with pytest.raises(ValueError, match="already holds campaign state"):
             self._campaign(small_city, store).run(phases)
 
     def test_resume_with_changed_config_rejected(self, small_city):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         self._campaign(small_city, store).run(
             [CampaignPhase("sparse", 1, 0.05)]
         )
@@ -191,7 +191,7 @@ class TestCampaignResumeValidation:
             )
 
     def test_resume_on_empty_store_is_fresh_start(self, small_city):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         result = self._campaign(small_city, store).run(
             [CampaignPhase("sparse", 1, 0.05)], resume=True
         )
@@ -199,7 +199,7 @@ class TestCampaignResumeValidation:
         assert len(result.day_results) == 1
 
     def test_resume_after_completion_resimulates_nothing(self, small_city):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         phases = [CampaignPhase("sparse", 1, 0.05),
                   CampaignPhase("intensive", 1, 0.2)]
         first = self._campaign(small_city, store).run(phases)
@@ -212,7 +212,7 @@ class TestCampaignResumeValidation:
                 == golden)
 
     def test_resume_restores_rider_counter(self, small_city):
-        store = open_store(":memory:")
+        store = MemoryStateStore()
         phases = [CampaignPhase("sparse", 1, 0.05)]
         first = self._campaign(small_city, store).run(phases)
         position = first.world.rider_counter.value

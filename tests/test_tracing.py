@@ -515,7 +515,7 @@ class TestSpanCategories:
         assert main([
             "campaign", "--sparse-days", "1", "--intensive-days", "0",
             "--start", "07:30", "--end", "07:45",
-            "--store", ":memory:", "--snapshot-every", "5",
+            "--store", str(tmp_path / "store"), "--snapshot-every", "5",
             "--trace-out", "t.json",
         ]) == 0
         capsys.readouterr()

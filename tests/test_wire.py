@@ -10,6 +10,7 @@ from repro.core.fingerprint import FingerprintDatabase
 from repro.core.traffic_map import TrafficMapEstimator
 from repro.phone.cellular import CellularSample
 from repro.phone.trip_recorder import TripUpload
+from repro.radio.scanner import Observation
 from repro.radio.towers import check_cell_ids
 from repro.wire import (
     CAMPAIGN_HORIZON_S,
@@ -26,10 +27,13 @@ from repro.wire import (
 
 
 def make_upload(key="t1"):
+    # The first sample is built as the phone builds it, from a scan
+    # that carries RSS; only the time and the ordered ids are kept.
+    scan = Observation(tower_ids=(5, 3, 9), rss_dbm=(-60.0, -70.0, -80.0))
     return TripUpload(
         trip_key=key,
         samples=(
-            CellularSample(time_s=100.0, tower_ids=(5, 3, 9), rss_dbm=(-60.0, -70.0, -80.0)),
+            CellularSample.from_observation(100.0, scan),
             CellularSample(time_s=130.0, tower_ids=(5, 9)),
         ),
     )
@@ -39,7 +43,7 @@ class TestTripCodec:
     def test_round_trip(self):
         upload = make_upload()
         decoded = trip_from_dict(trip_to_dict(upload))
-        assert decoded.trip_key == upload.trip_key
+        assert decoded == upload
         assert [s.time_s for s in decoded.samples] == [100.0, 130.0]
         assert decoded.samples[0].tower_ids == (5, 3, 9)
 
