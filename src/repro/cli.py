@@ -26,10 +26,10 @@ simulate --serve-metrics PORT`` runs an embedded HTTP exporter
 declarative SLO rules on every publish tick.
 
 Tracing: ``simulate``/``campaign`` accept ``--trace-out FILE`` to retain
-causal span records (head sampling via ``--trace-sample``, slowest-N
-tail exemplars via ``--trace-exemplars``) and export them as Chrome
-trace-event JSON — load the file in Perfetto or ``chrome://tracing``,
-or run ``repro trace FILE`` for a terminal self-time breakdown.
+causal span records (the slowest trips become the slow-trip exemplars
+of ``--metrics-out``) and export them as Chrome trace-event JSON — load
+the file in Perfetto or ``chrome://tracing``, or run ``repro trace
+FILE`` for a terminal self-time breakdown.
 """
 
 from __future__ import annotations
@@ -263,19 +263,11 @@ def _ingest_config(args: argparse.Namespace):
 
 
 def _add_trace_flags(command: argparse.ArgumentParser) -> None:
-    """Span-retention flags shared by ``simulate`` and ``campaign``."""
+    """The span-retention flag shared by ``simulate`` and ``campaign``."""
     command.add_argument("--trace-out", default=None, metavar="FILE",
                          help="retain span records and write them as Chrome "
                               "trace-event JSON (load in Perfetto / "
                               "chrome://tracing, or `repro trace FILE`)")
-    command.add_argument("--trace-sample", type=float, default=1.0,
-                         metavar="RATE",
-                         help="head-sampling rate for per-trip spans, 0..1 "
-                              "(default: 1; deterministic per trip key)")
-    command.add_argument("--trace-exemplars", type=int, default=8,
-                         metavar="N",
-                         help="always keep the N slowest trips regardless "
-                              "of sampling (default: 8)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -300,32 +292,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     return handler(args)
 
 
-def _observability_for(tracing: bool, policy=None):
+def _observability_for(tracing: bool, retain: bool = False):
     """A (registry, tracer) pair: the tracer records when asked to.
 
-    With a :class:`~repro.obs.tracing.SamplingPolicy` the tracer also
-    retains span records for Chrome trace-event export; with plain
-    ``tracing=True`` it aggregates per-stage timings only; otherwise the
-    no-op :data:`NULL_TRACER` keeps the hot path free.
+    With ``retain`` (``--trace-out``) the tracer also keeps span records
+    for Chrome trace-event export; with plain ``tracing=True`` it
+    aggregates per-stage timings only; otherwise the no-op
+    :data:`NULL_TRACER` keeps the hot path free.
     """
     from repro.obs import MetricsRegistry, NULL_TRACER, Tracer
 
-    if policy is not None:
-        return MetricsRegistry(), Tracer(policy)
-    if tracing:
-        return MetricsRegistry(), Tracer()
+    if retain or tracing:
+        return MetricsRegistry(), Tracer(retain=retain)
     return MetricsRegistry(), NULL_TRACER
-
-
-def _trace_policy(args) -> Optional[object]:
-    """The SamplingPolicy for this run, or None without ``--trace-out``."""
-    if not getattr(args, "trace_out", None):
-        return None
-    from repro.obs import SamplingPolicy
-
-    return SamplingPolicy(
-        head_rate=args.trace_sample, slow_exemplars=args.trace_exemplars
-    )
 
 
 def _write_trace(path: str, tracer) -> None:
@@ -335,7 +314,9 @@ def _write_trace(path: str, tracer) -> None:
         json.dump(document, out)
     events = len(document.get("traceEvents", []))
     dropped = getattr(tracer, "records_dropped", 0)
-    dropped_note = f" ({dropped} dropped by caps)" if dropped else ""
+    dropped_note = (
+        f" ({dropped} dropped past the record budget)" if dropped else ""
+    )
     print(f"wrote {events} trace events -> {path}{dropped_note}")
     print(f"  view: load {path} in Perfetto (ui.perfetto.dev) or "
           f"chrome://tracing; summarize: repro trace {path}")
@@ -426,7 +407,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     registry, tracer = _observability_for(
         bool(args.metrics_out) or args.serve_metrics is not None,
-        policy=_trace_policy(args),
+        retain=bool(args.trace_out),
     )
     world = World(seed=args.seed, config=_ingest_config(args),
                   registry=registry, tracer=tracer)
@@ -778,7 +759,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # A golden trace without live metrics would compare empty dicts, so
     # --golden-out forces the real registry just like --metrics-out.
     registry, tracer = _observability_for(
-        bool(args.metrics_out or args.golden_out), policy=_trace_policy(args)
+        bool(args.metrics_out or args.golden_out), retain=bool(args.trace_out)
     )
     config = _ingest_config(args)
     store = None

@@ -38,7 +38,6 @@ class TripRecorderConfig:
     """Phone-side trip lifecycle (§III-B)."""
 
     trip_timeout_s: float = 600.0       # conclude trip after 10 min of silence
-    upload_period_s: float = 300.0      # periodic upload
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class TripMappingConfig:
 
     same_stop_weight: float = 0.5       # R(x, x): duplicate-cluster tolerance
     downstream_weight: float = 1.0      # R(x, y) when y follows x on a route
-    allow_transfers: bool = True        # concatenation of multiple routes
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,6 @@ class FusionConfig:
 
     update_period_s: float = 300.0      # T = 5 min
     observation_sigma_kmh: float = 4.0  # per-trip speed observation noise
-    prior_sigma_kmh: float = 15.0       # weak prior around free-flow speed
     staleness_inflation_kmh_per_hr: float = 12.0  # variance growth when silent
 
 
@@ -113,7 +110,6 @@ class RadioConfig:
     temporal_sigma_db: float = 1.8      # per-measurement fluctuation
     rx_sensitivity_dbm: float = -86.0   # neighbour-list reporting floor
     max_visible: int = 7                # phones report up to 7 neighbours
-    min_visible: int = 1
 
 
 @dataclass(frozen=True)

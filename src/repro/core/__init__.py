@@ -51,7 +51,6 @@ _EXPORTS: Dict[str, str] = {
     "MappedStop": "trip_mapping",
     "MappedTrip": "trip_mapping",
     "RouteConstraint": "trip_mapping",
-    "enumerate_best_sequence": "trip_mapping",
     "map_trip": "trip_mapping",
 }
 

@@ -10,14 +10,14 @@ where R encodes the bus-route order constraint: buses only visit stops
 downstream of where they already are.  The paper describes enumerating
 all N = Π B_k sequences; because the objective decomposes over
 consecutive pairs, a Viterbi-style dynamic program finds the same
-argmax in O(Σ B_k²) — the exponential enumeration is unnecessary (and
-is used in tests as the oracle to verify the DP).
+argmax in O(Σ B_k²) — the exponential enumeration is unnecessary (it
+is the test oracle :func:`repro.testkit.oracles.oracle_enumerate_sequences`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.city.routes import RouteNetwork
 from repro.config import TripMappingConfig
@@ -71,7 +71,7 @@ class RouteConstraint:
             return self.config.same_stop_weight
         if self.routes.downstream(x, y):
             return self.config.downstream_weight
-        if self.config.allow_transfers and self.routes.reachable_with_transfer(x, y):
+        if self.routes.reachable_with_transfer(x, y):
             return self.config.downstream_weight
         return 0.0
 
@@ -176,28 +176,3 @@ def map_trip(
     reg.counter("trip_mapping_mapped", help="trips successfully mapped").inc()
     return MappedTrip(stops=stops, score=float(scores[-1][last]))
 
-
-def enumerate_best_sequence(
-    clusters: Sequence[SampleCluster],
-    constraint: RouteConstraint,
-) -> Tuple[List[int], float]:
-    """Brute-force Eq. (2) maximiser (the paper's description).
-
-    Exponential in the number of clusters — used as a test oracle for
-    :func:`map_trip` on small instances.
-    """
-    import itertools
-
-    pools = [c.candidates() for c in clusters if c.candidates()]
-    if not pools:
-        return [], 0.0
-    best_seq: List[int] = []
-    best_score = -1.0
-    for combo in itertools.product(*pools):
-        score = combo[0].weight
-        for prev, cur in zip(combo, combo[1:]):
-            score += cur.weight * constraint.weight(prev.station_id, cur.station_id)
-        if score > best_score:
-            best_score = score
-            best_seq = [c.station_id for c in combo]
-    return best_seq, float(best_score)

@@ -18,9 +18,9 @@ The pillars the phone→server pipeline reports itself through:
   (``map_route_freshness_s{route=*} < 900``) evaluated on publish
   ticks, firing structured-log events and the ``alerts_active`` gauge.
 * :class:`Tracer` — nested ``with tracer.span("matching"):`` timing,
-  aggregated per stage name; attach a :class:`SamplingPolicy` to also
-  retain :class:`SpanRecord` objects (trace/span/parent ids, slow-trip
-  exemplars) and export them with :func:`chrome_trace_document` for
+  aggregated per stage name; ``Tracer(retain=True)`` also retains
+  :class:`SpanRecord` objects (trace/span/parent ids, slow-trip
+  exemplars) and exports them with :func:`chrome_trace_document` for
   Perfetto / ``chrome://tracing``; :data:`NULL_TRACER` makes
   instrumented hot paths free when tracing is off.
 * :func:`configure` / :func:`get_logger` / :func:`log_event` —
@@ -72,10 +72,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import (
     Exemplar,
-    ExemplarStore,
     NULL_TRACER,
     NullTracer,
-    SamplingPolicy,
+    RECORD_BUDGET,
+    SLOW_EXEMPLARS,
     SPAN_CATEGORIES,
     SpanRecord,
     StageTiming,
@@ -123,10 +123,10 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "SamplingPolicy",
+    "RECORD_BUDGET",
+    "SLOW_EXEMPLARS",
     "SpanRecord",
     "Exemplar",
-    "ExemplarStore",
     "SPAN_CATEGORIES",
     "chrome_trace_document",
     "validate_chrome_trace",

@@ -12,26 +12,19 @@ Two recording layers share that API:
   per-stage :class:`StageTiming` records (count / total / min / max) —
   O(#stage names) memory, exactly what ``repro stats`` and
   ``--metrics-out`` need.
-* **Span retention** (on when a :class:`SamplingPolicy` is attached):
-  each finished span additionally becomes a :class:`SpanRecord` with
-  trace / span / parent ids, wall-clock bounds and the owning pid,
-  ready for Chrome trace-event export (Perfetto / ``chrome://tracing``)
-  via :func:`chrome_trace_document`.
+* **Span retention** (on with ``Tracer(retain=True)``): each finished
+  span additionally becomes a :class:`SpanRecord` with trace / span /
+  parent ids, wall-clock bounds and the owning pid, ready for Chrome
+  trace-event export (Perfetto / ``chrome://tracing``) via
+  :func:`chrome_trace_document`.
 
-Retention is bounded by the policy:
-
-* **Head sampling** applies to *keyed* spans — a span opened with a
-  ``key=...`` attribute (per-trip roots like ``receive_trip``) starts a
-  sampling scope; the whole subtree is kept or dropped together.  The
-  decision is a pure function of ``(policy.seed, key)``, so it is
-  deterministic, order-independent and identical across runs.  Keyless
-  spans (pipeline phases) are always retained.
-* **Tail exemplars**: the slowest-N keyed spans are always kept, head
-  sampling notwithstanding, in a bounded min-heap
-  (:class:`ExemplarStore`) — the latency outliers an operator actually
-  wants to see.
-* Hard caps (``max_spans_per_trace``, ``max_records``) bound memory;
-  evictions are counted, never silent.
+Retention is one rule: every finished span is appended to one record
+buffer of :data:`RECORD_BUDGET` records; past it the oldest record is
+evicted and counted in :attr:`Tracer.records_dropped`, never silently.
+The slow-trip exemplars are read off that buffer: the
+:data:`SLOW_EXEMPLARS` slowest *keyed* spans (opened with ``key=...``,
+the per-trip roots like ``receive_trip``), each with its descendant
+records.
 
 When tracing is off, components hold :data:`NULL_TRACER`, whose
 ``span()`` returns one shared no-op context manager: entering and
@@ -43,10 +36,8 @@ tracing on or off.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
-import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,10 +45,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "StageTiming",
-    "SamplingPolicy",
     "SpanRecord",
     "Exemplar",
-    "ExemplarStore",
+    "RECORD_BUDGET",
+    "SLOW_EXEMPLARS",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -92,6 +83,14 @@ SPAN_CATEGORIES: Dict[str, str] = {
 }
 
 
+#: Span records a retaining tracer keeps; past it the oldest is evicted
+#: and counted in :attr:`Tracer.records_dropped`.
+RECORD_BUDGET = 200_000
+
+#: How many of the slowest keyed spans :meth:`Tracer.exemplars` returns.
+SLOW_EXEMPLARS = 8
+
+
 @dataclass
 class StageTiming:
     """Aggregate wall-time of every span that ran under one stage name."""
@@ -124,25 +123,6 @@ class StageTiming:
             "min_s": self.min_s if self.count else 0.0,
             "max_s": self.max_s,
         }
-
-
-@dataclass(frozen=True)
-class SamplingPolicy:
-    """Retention policy for span records (attach one to enable them)."""
-
-    #: Probability a *keyed* span's subtree is head-retained.  The
-    #: decision is deterministic per ``(seed, key)``, so replays
-    #: agree.  Keyless spans are always retained.
-    head_rate: float = 1.0
-    #: Slowest-N keyed spans kept regardless of head sampling.
-    slow_exemplars: int = 8
-    #: Seed of the per-key sampling decision.
-    seed: int = 0
-    #: Span records buffered per keyed scope before dropping (counted).
-    max_spans_per_trace: int = 4096
-    #: Global retained-record budget; beyond it the oldest records are
-    #: evicted (counted in :attr:`Tracer.records_dropped`).
-    max_records: int = 200_000
 
 
 @dataclass
@@ -205,65 +185,6 @@ class Exemplar:
         }
 
 
-class ExemplarStore:
-    """Bounded keep-the-slowest-N store (min-heap on duration).
-
-    ``offer()`` keeps a new trace while below capacity; at capacity it
-    evicts the *fastest* retained exemplar iff the newcomer is slower —
-    so the store always holds the N slowest trips seen so far.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = max(0, int(capacity))
-        self._heap: List[Tuple[float, int, Exemplar]] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def offer(self, exemplar: Exemplar) -> bool:
-        """Consider one finished trace; True if it was retained."""
-        if self.capacity <= 0:
-            return False
-        entry = (exemplar.duration_s, next(self._seq), exemplar)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
-            return True
-        if exemplar.duration_s > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def items(self) -> List[Exemplar]:
-        """Retained exemplars, slowest first."""
-        return [
-            entry[2]
-            for entry in sorted(self._heap, key=lambda e: (-e[0], e[1]))
-        ]
-
-    def clear(self) -> None:
-        self._heap = []
-
-
-class _Scope:
-    """An open keyed span's buffered subtree + its sampling verdict."""
-
-    __slots__ = ("span", "sampled", "buffer", "dropped", "limit")
-
-    def __init__(self, span: "_Span", sampled: bool, limit: int):
-        self.span = span
-        self.sampled = sampled
-        self.buffer: List[SpanRecord] = []
-        self.dropped = 0
-        self.limit = limit
-
-    def add(self, record: SpanRecord) -> None:
-        if len(self.buffer) < self.limit:
-            self.buffer.append(record)
-        else:
-            self.dropped += 1
-
-
 class _Span:
     """One active span; a context manager handed out by ``span()``."""
 
@@ -292,27 +213,23 @@ class Tracer:
     """Aggregating + (optionally) record-retaining span tracer.
 
     ``Tracer()`` is the aggregate-only mode every instrumented component
-    has always used.  ``Tracer(SamplingPolicy(...))`` additionally
-    retains :class:`SpanRecord` objects under the policy.  Span ids are
-    unique within one tracer, which is all one exported document holds.
+    has always used.  ``Tracer(retain=True)`` additionally keeps a
+    :class:`SpanRecord` for every finished span, up to
+    :data:`RECORD_BUDGET` of them.  Span ids are unique within one
+    tracer, which is all one exported document holds.
     """
 
     enabled = True
 
-    def __init__(self, policy: Optional[SamplingPolicy] = None) -> None:
+    def __init__(self, retain: bool = False) -> None:
         self._stack: List[_Span] = []
         self._stats: Dict[str, StageTiming] = {}
-        self._policy = policy
         self._pid = os.getpid()
-        self._retaining = policy is not None
+        self._retaining = bool(retain)
         self._ids = itertools.count(1)
         self.trace_id = f"{self._pid:x}-{int(time.time() * 1e3) & 0xFFFFFF:x}"
-        max_records = policy.max_records if policy else 0
-        self._records: deque = deque()
-        self._max_records = max_records
+        self._records: deque = deque(maxlen=RECORD_BUDGET)
         self._records_dropped = 0
-        self._scopes: List[_Scope] = []
-        self._exemplars = ExemplarStore(policy.slow_exemplars if policy else 0)
         self._root_s = 0.0
 
     # -- span lifecycle ------------------------------------------------------
@@ -320,22 +237,15 @@ class Tracer:
     def span(self, name: str, **attrs) -> _Span:
         """A context manager timing one stage; spans nest freely.
 
-        ``key="..."`` marks a per-trip root: the span and its subtree
-        become one sampling unit (head sampling + slow exemplars).
-        Other attributes ride along into the exported record.
+        ``key="..."`` marks a per-trip root, a slow-trip exemplar
+        candidate.  Other attributes ride along into the exported record.
         """
         return _Span(self, name, attrs or None)
 
     def _open(self, span: _Span) -> None:
         if self._retaining:
             span.parent_id = self._stack[-1].span_id if self._stack else None
-            span.span_id = self._next_id()
-            if span.attrs and "key" in span.attrs:
-                self._scopes.append(_Scope(
-                    span,
-                    self._sample(span.attrs["key"]),
-                    self._policy.max_spans_per_trace,
-                ))
+            span.span_id = f"{next(self._ids):x}"
         self._stack.append(span)
 
     def _finish(self, span: _Span, duration_s: float) -> None:
@@ -353,58 +263,18 @@ class Tracer:
         if not self._stack:
             self._root_s += duration_s
         if self._retaining:
-            self._route(self._record_for(span, duration_s), closing=span)
-
-    # -- retention plumbing --------------------------------------------------
-
-    def _record_for(self, span: _Span, duration_s: float) -> SpanRecord:
-        return SpanRecord(
-            name=span.name,
-            trace_id=self.trace_id,
-            span_id=span.span_id,
-            parent_id=span.parent_id,
-            start_s=span._start,
-            duration_s=duration_s,
-            pid=self._pid,
-            attrs=dict(span.attrs) if span.attrs else {},
-        )
-
-    def _route(self, record: SpanRecord, closing: Optional[_Span]) -> None:
-        scope = self._scopes[-1] if self._scopes else None
-        if scope is not None and closing is scope.span:
-            self._scopes.pop()
-            self._finalize_scope(scope, record)
-        elif scope is not None:
-            scope.add(record)
-        else:
-            self._retain(record)
-
-    def _finalize_scope(self, scope: _Scope, root: SpanRecord) -> None:
-        self._records_dropped += scope.dropped
-        self._exemplars.offer(Exemplar(root=root, children=tuple(scope.buffer)))
-        if scope.sampled:
-            for child in scope.buffer:
-                self._retain(child)
-            self._retain(root)
-
-    def _retain(self, record: SpanRecord) -> None:
-        if len(self._records) >= self._max_records:
-            self._records.popleft()
-            self._records_dropped += 1
-        self._records.append(record)
-
-    def _next_id(self) -> str:
-        return f"{next(self._ids):x}"
-
-    def _sample(self, key) -> bool:
-        rate = self._policy.head_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        # A fresh str-seeded Random: deterministic across processes and
-        # interpreter runs (unlike hash()), independent of call order.
-        return random.Random(f"{self._policy.seed}:{key}").random() < rate
+            if len(self._records) == self._records.maxlen:
+                self._records_dropped += 1
+            self._records.append(SpanRecord(
+                name=span.name,
+                trace_id=self.trace_id,
+                span_id=span.span_id,
+                parent_id=span.parent_id,
+                start_s=span._start,
+                duration_s=duration_s,
+                pid=self._pid,
+                attrs=dict(span.attrs) if span.attrs else {},
+            ))
 
     # -- introspection -------------------------------------------------------
 
@@ -420,12 +290,8 @@ class Tracer:
 
     @property
     def retaining(self) -> bool:
-        """Whether span records are being kept (a policy is attached)."""
+        """Whether span records are being kept."""
         return self._retaining
-
-    @property
-    def policy(self) -> Optional[SamplingPolicy]:
-        return self._policy
 
     @property
     def wall_s(self) -> float:
@@ -434,28 +300,32 @@ class Tracer:
 
     @property
     def records_dropped(self) -> int:
-        """Records lost to per-scope and global caps (never silent)."""
+        """Records evicted past the budget (never silent)."""
         return self._records_dropped
 
     def records(self) -> List[SpanRecord]:
-        """All retained span records: head-sampled + slow exemplars.
-
-        Exemplar subtrees that head sampling also kept are deduplicated
-        by span id; the result is sorted by start time.
-        """
-        by_id: Dict[str, SpanRecord] = {r.span_id: r for r in self._records}
-        for exemplar in self._exemplars.items():
-            for record in exemplar.records():
-                by_id.setdefault(record.span_id, record)
-        return sorted(by_id.values(), key=lambda r: (r.start_s, r.span_id))
+        """All retained span records, sorted by start time."""
+        return sorted(self._records, key=lambda r: (r.start_s, r.span_id))
 
     def exemplars(self) -> List[Exemplar]:
-        """Slow-trip exemplars, slowest first."""
-        return self._exemplars.items()
+        """The slowest keyed spans in the buffer with their subtrees,
+        slowest first (ties in finish order)."""
+        keyed = [r for r in self._records if "key" in r.attrs]
+        roots = sorted(keyed, key=lambda r: -r.duration_s)[:SLOW_EXEMPLARS]
+        if not roots:
+            return []
+        children: Dict[str, List[SpanRecord]] = {}
+        for record in self._records:
+            if record.parent_id is not None:
+                children.setdefault(record.parent_id, []).append(record)
+        return [
+            Exemplar(root=root, children=tuple(_descendants(root, children)))
+            for root in roots
+        ]
 
     def exemplar_summaries(self) -> List[Dict[str, Any]]:
         """JSON-ready digests of the slow-trip exemplars, slowest first."""
-        return [exemplar.summary() for exemplar in self._exemplars.items()]
+        return [exemplar.summary() for exemplar in self.exemplars()]
 
     def chrome_trace(self) -> Dict[str, Any]:
         """The retained spans as a Chrome trace-event document."""
@@ -480,9 +350,18 @@ class Tracer:
         self._stats = {}
         self._records.clear()
         self._records_dropped = 0
-        self._scopes = []
-        self._exemplars.clear()
         self._root_s = 0.0
+
+
+def _descendants(
+    root: SpanRecord, children: Dict[str, List[SpanRecord]]
+) -> List[SpanRecord]:
+    """``root``'s descendant records in finish order (post-order)."""
+    found: List[SpanRecord] = []
+    for child in children.get(root.span_id, ()):
+        found.extend(_descendants(child, children))
+        found.append(child)
+    return found
 
 
 class _NullSpan:
@@ -505,7 +384,6 @@ class NullTracer:
 
     enabled = False
     retaining = False
-    policy = None
     trace_id = ""
     wall_s = 0.0
     records_dropped = 0

@@ -25,7 +25,7 @@ from repro.core.server import BackendServer, TripReport
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER
-from repro.phone.app import DspMode, PhoneAgent
+from repro.phone.app import DspMode, record_participant_trips
 from repro.phone.cellular import CellularSampler
 from repro.phone.trip_recorder import TripUpload
 from repro.radio.propagation import PropagationModel
@@ -189,24 +189,20 @@ class World:
                     )
 
         # Phones ride along and produce their uploads.
+        timeout_s = self.config.trip_recorder.trip_timeout_s
         ready_uploads: List[Tuple[float, TripUpload]] = []
         with self.tracer.span("phone_recording"):
             for trace in traces:
-                for ride in trace.participants:
-                    agent = PhoneAgent(
-                        phone_id=f"rider-{ride.rider_id}",
-                        sampler=self.sampler,
-                        registry=self.city.registry,
-                        config=self.config,
-                        mode=dsp_mode,
-                        rng=phone_rng,
-                        metrics=self.registry,
-                    )
-                    for upload in agent.ride_and_record(trace, ride):
-                        ready_at = (
-                            upload.end_s + self.config.trip_recorder.trip_timeout_s
-                        )
-                        ready_uploads.append((ready_at, upload))
+                for upload in record_participant_trips(
+                    trace,
+                    self.city.registry,
+                    self.sampler,
+                    self.config,
+                    mode=dsp_mode,
+                    rng=phone_rng,
+                    metrics=self.registry,
+                ):
+                    ready_uploads.append((upload.end_s + timeout_s, upload))
 
         # Uploads cross the flaky phone→server uplink: some are lost,
         # all are delayed, and delivery order is arrival order.

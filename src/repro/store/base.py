@@ -24,7 +24,6 @@ a cached boolean per ingest thereafter.
 from __future__ import annotations
 
 import json
-import time
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
@@ -93,12 +92,6 @@ class StateStore:
         self._c_snapshot_bytes = reg.counter(
             "store_snapshot_bytes_total", help="snapshot payload bytes written"
         )
-        self._h_append = reg.histogram(
-            "store_wal_append_seconds", help="WAL append wall time"
-        )
-        self._h_snapshot = reg.histogram(
-            "store_snapshot_seconds", help="snapshot write wall time"
-        )
 
     # -- WAL -----------------------------------------------------------------
 
@@ -122,9 +115,7 @@ class StateStore:
         )
         if self._observing:
             with self._tracer.span("store_wal_append"):
-                t0 = time.perf_counter()
                 self._append(seq, text)
-                self._h_append.observe(time.perf_counter() - t0)
             self._c_appends.inc()
             self._c_append_bytes.inc(len(text))
         else:
@@ -149,9 +140,7 @@ class StateStore:
         )
         if self._observing:
             with self._tracer.span("store_snapshot"):
-                t0 = time.perf_counter()
                 self._write_snapshot(int(seq), text)
-                self._h_snapshot.observe(time.perf_counter() - t0)
             self._c_snapshots.inc()
             self._c_snapshot_bytes.inc(len(text))
         else:

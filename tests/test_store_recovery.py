@@ -154,3 +154,25 @@ def test_fault_spec_is_read_once_and_a_bad_count_raises_at_first_hit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "malformed REPRO_FAULT spec 'apply:x'\n"
+
+
+def test_identical_stored_campaigns_write_identical_snapshots(
+    tmp_path, monkeypatch, capsys
+):
+    """A snapshot holds no wall-clock value: two identical stored
+    campaigns write byte-identical ``snapshot.json`` files."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    snapshots = []
+    for name in ("a", "b"):
+        store = tmp_path / name
+        assert main([
+            "campaign", "--sparse-days", "1", "--intensive-days", "0",
+            "--start", "07:30", "--end", "07:45", "--seed", "3",
+            "--store", str(store), "--snapshot-every", "10",
+        ]) == 0
+        snapshots.append((store / "snapshot.json").read_bytes())
+    capsys.readouterr()
+    assert b"store_wal_appends_total" in snapshots[0]
+    assert snapshots[0] == snapshots[1]

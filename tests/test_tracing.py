@@ -1,20 +1,20 @@
 """Tests for the span-tracing subsystem (obs/tracing.py).
 
 Covers the tracer edge cases — the NULL_TRACER zero-allocation path,
-nested-span parent linkage, deterministic head sampling, exemplar
-eviction order — plus the Chrome trace-event export/validator/
-summarizer, the CLI's sampling policy, and an end-to-end traced ingest.
+nested-span parent linkage, the record budget, slow-trip exemplar
+order — plus the Chrome trace-event export/validator/summarizer, the
+CLI's retention switch, and an end-to-end traced ingest.
 """
 
 import json
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
-    Exemplar,
-    ExemplarStore,
     NULL_TRACER,
-    SamplingPolicy,
+    RECORD_BUDGET,
+    SLOW_EXEMPLARS,
     SpanRecord,
     Tracer,
     chrome_trace_document,
@@ -75,8 +75,6 @@ class FakeClock:
 
 @pytest.fixture
 def clock(monkeypatch):
-    from repro.obs import tracing
-
     fake = FakeClock()
     monkeypatch.setattr(tracing, "time", fake)
     return fake
@@ -141,7 +139,7 @@ class TestAggregateBackCompat:
 
 class TestParentLinkage:
     def test_nested_spans_link_to_parents(self):
-        tracer = Tracer(SamplingPolicy())
+        tracer = Tracer(retain=True)
         with tracer.span("ingest"):
             with tracer.span("receive_trip", key="trip-1"):
                 with tracer.span("matching"):
@@ -156,51 +154,25 @@ class TestParentLinkage:
 
 
 class TestSampling:
-    def test_decision_is_deterministic_per_key(self):
-        policy = SamplingPolicy(head_rate=0.5, seed=7)
-        one, two = Tracer(policy), Tracer(policy)
-        keys = [f"trip-{i}" for i in range(200)]
-        assert [one._sample(k) for k in keys] == [two._sample(k) for k in keys]
-        kept = sum(one._sample(k) for k in keys)
-        assert 60 <= kept <= 140        # unbiased-ish at rate 0.5
-
-    def test_seed_changes_decisions(self):
-        keys = [f"trip-{i}" for i in range(200)]
-        a = Tracer(SamplingPolicy(head_rate=0.5, seed=1))
-        b = Tracer(SamplingPolicy(head_rate=0.5, seed=2))
-        assert [a._sample(k) for k in keys] != [b._sample(k) for k in keys]
-
-    def test_rate_zero_drops_keyed_subtree_but_keeps_keyless(self):
-        tracer = Tracer(SamplingPolicy(head_rate=0.0, slow_exemplars=0))
-        with tracer.span("ingest"):
-            with tracer.span("receive_trip", key="trip-1"):
-                with tracer.span("matching"):
-                    pass
-        names = {r.name for r in tracer.records()}
-        assert names == {"ingest"}
-        # Aggregates still see everything: sampling gates records only.
-        assert tracer.timing("matching").count == 1
+    """What a retaining tracer keeps: every span (head rate 1 is the
+    only rate), under one record budget."""
 
     def test_rate_one_keeps_everything(self):
-        tracer = Tracer(SamplingPolicy(head_rate=1.0))
-        with tracer.span("receive_trip", key="trip-1"):
-            with tracer.span("matching"):
-                pass
-        assert {r.name for r in tracer.records()} == \
-            {"receive_trip", "matching"}
+        tracer = Tracer(retain=True)
+        with tracer.span("ingest"):
+            with tracer.span("receive_trip", key="trip-1"):
+                for _ in range(5):
+                    with tracer.span("matching"):
+                        pass
+        assert [r.name for r in tracer.records()] == \
+            ["ingest", "receive_trip"] + ["matching"] * 5
+        assert tracer.records_dropped == 0
+        # Aggregates see the same spans.
+        assert tracer.timing("matching").count == 5
 
-    def test_scope_buffer_cap_counts_drops(self):
-        tracer = Tracer(SamplingPolicy(max_spans_per_trace=2))
-        with tracer.span("receive_trip", key="trip-1"):
-            for _ in range(5):
-                with tracer.span("matching"):
-                    pass
-        assert tracer.records_dropped == 3
-        names = [r.name for r in tracer.records()]
-        assert names.count("matching") == 2
-
-    def test_global_record_cap_evicts_oldest(self):
-        tracer = Tracer(SamplingPolicy(max_records=3, slow_exemplars=0))
+    def test_global_record_cap_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracing, "RECORD_BUDGET", 3)
+        tracer = Tracer(retain=True)
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
@@ -209,42 +181,64 @@ class TestSampling:
 
 
 class TestExemplars:
-    def test_store_keeps_slowest_n_in_order(self):
-        store = ExemplarStore(capacity=3)
-        for i, dur in enumerate([0.03, 0.01, 0.05, 0.02, 0.04]):
-            store.offer(Exemplar(root=make_record(
-                span_id=f"a.{i}", dur=dur, key=f"t{i}")))
-        durations = [e.duration_s for e in store.items()]
-        assert durations == [0.05, 0.04, 0.03]
+    @staticmethod
+    def run_trips(tracer, clock, durations):
+        """One keyed trip per duration under one ``ingest`` root, each
+        with two timed children and a grandchild."""
+        with tracer.span("ingest"):
+            for i, dur in enumerate(durations):
+                with tracer.span("receive_trip", key=f"trip-{i}"):
+                    with tracer.span("matching"):
+                        with tracer.span("leg_estimation"):
+                            clock.now += dur / 4
+                        clock.now += dur / 4
+                    with tracer.span("clustering"):
+                        clock.now += dur / 2
 
-    def test_faster_newcomer_is_rejected(self):
-        store = ExemplarStore(capacity=1)
-        assert store.offer(Exemplar(root=make_record(span_id="a.1", dur=0.5)))
-        assert not store.offer(
-            Exemplar(root=make_record(span_id="a.2", dur=0.1))
+    def test_store_keeps_slowest_n_in_order(self, clock):
+        # Under the budget the buffer yields the slowest-N keyed
+        # subtrees, slowest first, each with all of its descendants.
+        durations = [0.01 * (i % 7 + 1) + 0.001 * i for i in range(20)]
+        tracer = Tracer(retain=True)
+        self.run_trips(tracer, clock, durations)
+        assert tracer.records_dropped == 0
+        exemplars = tracer.exemplars()
+        slowest = sorted(range(20), key=lambda i: -durations[i])
+        assert [e.key for e in exemplars] == \
+            [f"trip-{i}" for i in slowest[:SLOW_EXEMPLARS]]
+        assert [e.duration_s for e in exemplars] == pytest.approx(
+            [durations[i] for i in slowest[:SLOW_EXEMPLARS]]
         )
-        assert [e.duration_s for e in store.items()] == [0.5]
+        for exemplar in exemplars:
+            # Finish order: the grandchild closes before its parent.
+            assert [c.name for c in exemplar.children] == \
+                ["leg_estimation", "matching", "clustering"]
+            ids = {exemplar.root.span_id} | {
+                c.span_id for c in exemplar.children
+            }
+            assert all(c.parent_id in ids for c in exemplar.children)
+        assert [s["key"] for s in tracer.exemplar_summaries()] == \
+            [e.key for e in exemplars]
 
-    def test_zero_capacity_keeps_nothing(self):
-        store = ExemplarStore(capacity=0)
-        assert not store.offer(Exemplar(root=make_record()))
-        assert store.items() == []
+    def test_faster_newcomer_is_rejected(self, clock):
+        # A trip no slower than N earlier ones is no exemplar; ties go
+        # to the earlier trip.  Binary fractions keep the ties exact.
+        durations = [2 ** -4] * SLOW_EXEMPLARS + [2 ** -4, 2 ** -6]
+        tracer = Tracer(retain=True)
+        self.run_trips(tracer, clock, durations)
+        assert [e.key for e in tracer.exemplars()] == \
+            [f"trip-{i}" for i in range(SLOW_EXEMPLARS)]
 
-    def test_exemplars_survive_head_sampling(self, clock):
-        # Tail retention is unconditional: rate 0 still keeps slow trips.
-        tracer = Tracer(SamplingPolicy(head_rate=0.0, slow_exemplars=2))
-        for i, dur in enumerate([0.01, 0.05, 0.02]):
-            with tracer.span("receive_trip", key=f"trip-{i}"):
-                clock.now += dur
-        summaries = tracer.exemplar_summaries()
-        assert [s["key"] for s in summaries] == ["trip-1", "trip-2"]
-        # And their records appear in the export even though head
-        # sampling rejected them.
-        keys = {r.attrs.get("key") for r in tracer.records()}
-        assert keys == {"trip-1", "trip-2"}
+    def test_zero_capacity_keeps_nothing(self, clock):
+        # The aggregate-only tracer retains no records, so no exemplars.
+        tracer = Tracer()
+        self.run_trips(tracer, clock, [0.05, 0.01])
+        assert tracer.exemplars() == []
+        assert tracer.exemplar_summaries() == []
+        assert tracer.timing("receive_trip").count == 2
 
     def test_summary_breaks_down_child_stages(self):
-        tracer = Tracer(SamplingPolicy(slow_exemplars=1))
+        tracer = Tracer(retain=True)
         with tracer.span("receive_trip", key="trip-9"):
             with tracer.span("matching"):
                 pass
@@ -359,7 +353,7 @@ class TestServerIntegration:
 
         plain = server_with()
         expected = plain.receive_trips(batch)
-        tracer = Tracer(SamplingPolicy())
+        tracer = Tracer(retain=True)
         traced = server_with(tracer=tracer)
         reports = traced.receive_trips(batch)
 
@@ -379,7 +373,7 @@ class TestServerIntegration:
 
 class TestTraceCli:
     def make_trace_file(self, tmp_path):
-        tracer = Tracer(SamplingPolicy())
+        tracer = Tracer(retain=True)
         with tracer.span("ingest"):
             with tracer.span("receive_trip", key="trip-1"):
                 with tracer.span("matching"):
@@ -411,23 +405,22 @@ class TestTraceCli:
         assert main(["trace", str(bad)]) == 1
         assert "schema problem" in capsys.readouterr().err
 
-    def test_trace_out_policy_keeps_its_defaults(self):
-        from repro.cli import _trace_policy, build_parser
+    def test_trace_out_policy_keeps_its_defaults(self, capsys):
+        from repro.cli import _observability_for, build_parser
 
+        # --trace-out alone turns retention on; the budget and the
+        # exemplar count are fixed.
         parser = build_parser()
-        assert _trace_policy(parser.parse_args(["simulate"])) is None
-        args = parser.parse_args(["simulate", "--trace-out", "t.json"])
-        assert _trace_policy(args) == SamplingPolicy(
-            head_rate=1.0, slow_exemplars=8, seed=0,
-            max_spans_per_trace=4096, max_records=200_000,
-        )
-        args = parser.parse_args([
-            "campaign", "--trace-out", "t.json",
-            "--trace-sample", "0.25", "--trace-exemplars", "3",
-        ])
-        assert _trace_policy(args) == SamplingPolicy(
-            head_rate=0.25, slow_exemplars=3,
-        )
+        assert parser.parse_args(["simulate"]).trace_out is None
+        args = parser.parse_args(["campaign", "--trace-out", "t.json"])
+        _, tracer = _observability_for(False, retain=bool(args.trace_out))
+        assert tracer.retaining
+        assert (RECORD_BUDGET, SLOW_EXEMPLARS) == (200_000, 8)
+        for flag in ("--trace-sample", "--trace-exemplars"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["campaign", "--trace-out", "t.json",
+                                   flag, "1"])
+        capsys.readouterr()
 
     def test_stats_wall_share_and_hint(self, tmp_path, capsys):
         from repro.cli import main
@@ -481,7 +474,7 @@ class TestHttpTraceEndpoint:
 
         from repro.obs import MetricsHTTPServer, MetricsRegistry
 
-        tracer = Tracer(SamplingPolicy())
+        tracer = Tracer(retain=True)
         with tracer.span("ingest"):
             pass
         with MetricsHTTPServer(

@@ -9,12 +9,9 @@ from repro.city.stops import StopRegistry, make_two_sided_station
 from repro.config import TripMappingConfig
 from repro.core.clustering import MatchedSample, SampleCluster
 from repro.core.matching import MatchResult
-from repro.core.trip_mapping import (
-    RouteConstraint,
-    enumerate_best_sequence,
-    map_trip,
-)
+from repro.core.trip_mapping import RouteConstraint, map_trip
 from repro.phone.cellular import CellularSample
+from repro.testkit.oracles import oracle_enumerate_sequences
 
 
 @pytest.fixture()
@@ -139,6 +136,13 @@ class TestDpEqualsEnumeration:
                     )
                 clusters.append(cluster(t, *candidates))
                 t += 100.0
-            brute_seq, brute_score = enumerate_best_sequence(clusters, constraint)
+            _, brute_score, best_combos = oracle_enumerate_sequences(
+                clusters, constraint
+            )
             mapped = map_trip(clusters, constraint, min_weight=-1.0)
             assert mapped.score == pytest.approx(brute_score)
+            # Nothing is dropped at min_weight < 0, so the DP's sequence
+            # must be one of the optimal ties.
+            assert mapped.station_sequence() in [
+                [c.station_id for c in combo] for combo in best_combos
+            ]
